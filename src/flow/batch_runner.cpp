@@ -119,6 +119,7 @@ ScenarioRecord run_scenario(const Scenario& scenario, int index,
         if (hooks.cancel) ctx.cancel = *hooks.cancel;
         if (hooks.deadline) ctx.deadline = hooks.deadline;
         ctx.progress = hooks.progress;
+        ctx.pool = hooks.pool;
         if (hooks.stage_store) {
             ctx.stage_store = hooks.stage_store;
             ctx.stage_key = [&scenario](std::string_view stage) {
@@ -296,9 +297,15 @@ std::vector<Scenario> parse_scenario_spec(const std::string& text) {
                 s.params.seed = parse_u64(value, line_no, key);
             } else if (key == "population" || key == "pop") {
                 s.params.ga.population = parse_int(value, line_no, key);
+                if (s.params.ga.population < 1) {
+                    spec_error(line_no, "population must be >= 1");
+                }
                 note_sbox_only(key);
             } else if (key == "generations" || key == "gens") {
                 s.params.ga.generations = parse_int(value, line_no, key);
+                if (s.params.ga.generations < 0) {
+                    spec_error(line_no, "generations must be >= 0");
+                }
                 note_sbox_only(key);
             } else if (key == "attack") {
                 if (value == "none") {
@@ -682,18 +689,21 @@ std::vector<ScenarioRecord> BatchRunner::run(
         // stuck behind one long scenario drains via its neighbours.
         futures.push_back(pool.submit_sharded(
             i, [&scenarios, &records, &completed, &pool, i] {
-                // Parallel attacks inside a parallel batch share THIS pool
-                // instead of spawning their own: the scenario worker
-                // helping-waits (ThreadPool::run_one) on its subtasks, so
-                // portfolio members and cube workers cannot deadlock or
-                // oversubscribe even with every worker busy.
+                // Pin-search batches and parallel attacks inside a parallel
+                // batch share THIS pool instead of spawning their own: the
+                // scenario worker helping-waits (ThreadPool::run_one) on its
+                // subtasks, so fitness workers, portfolio members and cube
+                // workers cannot deadlock or oversubscribe even with every
+                // worker busy.
                 Scenario scenario = scenarios[static_cast<std::size_t>(i)];
                 if (scenario.params.oracle.attack_threads > 1 ||
                     scenario.params.oracle.portfolio > 1) {
                     scenario.params.oracle.pool = &pool;
                 }
+                ScenarioRunHooks hooks;
+                hooks.pool = &pool;
                 records[static_cast<std::size_t>(i)] =
-                    run_scenario(scenario, i);
+                    run_scenario(scenario, i, hooks);
                 completed.fetch_add(1, std::memory_order_relaxed);
             }));
     }

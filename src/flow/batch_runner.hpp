@@ -111,6 +111,9 @@ struct ScenarioRunHooks {
     /// Shared stage-result cache; keys come from flow::stage_cache_key for
     /// the scenario being run.  Not owned.
     StageStore* stage_store = nullptr;
+    /// The runtime's worker pool, lent to the pin search (FlowContext::pool).
+    /// Not owned; nullptr = the pin search makes its own.
+    util::ThreadPool* pool = nullptr;
 };
 
 /// Runs one scenario in isolation (private ObfuscationFlow => private

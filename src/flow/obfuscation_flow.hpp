@@ -11,7 +11,9 @@
 //           configuration in simulation.
 //
 // One ObfuscationFlow instance owns the memoized synthesis/matching caches
-// and should be reused across experiments.
+// and should be reused across experiments.  The caches are thread-safe, so
+// synthesize() and evaluate_area() may run concurrently on one instance
+// (the pin search scores each GA generation that way).
 
 #include <cstdint>
 #include <optional>

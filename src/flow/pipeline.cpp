@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "audit/attack_proof.hpp"
@@ -84,10 +85,24 @@ void PinSearchStage::run(FlowContext& ctx) {
     const int m = functions.front().num_inputs;
     const int r = functions.front().num_outputs;
 
-    const ga::FitnessFn fitness = [&](const ga::PinAssignment& pa) {
-        return ctx.flow->evaluate_area(functions, pa, ctx.params.fitness_effort,
-                                       ctx.params.fitness_build);
-    };
+    // The calling thread evaluates too, so a private pool needs one worker
+    // fewer than the machine has cores.
+    std::optional<util::ThreadPool> own_pool;
+    util::ThreadPool* pool = ctx.pool;
+    if (!pool) {
+        const int cores = static_cast<int>(std::thread::hardware_concurrency());
+        pool = &own_pool.emplace(std::max(1, cores - 1));
+    }
+    const ga::BatchFitnessFn fitness =
+        [&](const std::vector<ga::PinAssignment>& genomes) {
+            std::vector<double> areas(genomes.size());
+            util::parallel_for(*pool, genomes.size(), [&](std::size_t i) {
+                areas[i] = ctx.flow->evaluate_area(functions, genomes[i],
+                                                   ctx.params.fitness_effort,
+                                                   ctx.params.fitness_build);
+            });
+            return areas;
+        };
 
     ga::GaParams ga_params = ctx.params.ga;
     ga_params.seed = ctx.params.seed;

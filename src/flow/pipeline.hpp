@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "flow/obfuscation_flow.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvf::flow {
 
@@ -100,6 +101,14 @@ struct FlowContext {
     StageStore* stage_store = nullptr;
     std::function<std::string(std::string_view)> stage_key;
 
+    /// Worker pool for pin-search fitness batches; nullptr = the stage
+    /// makes its own for the duration of the search.  `mvf batch --jobs N`
+    /// and `mvf serve` pass their runtime pool here (the stage helping-
+    /// waits, see util::parallel_for).  Runtime plumbing only: results are
+    /// identical at any pool size, so it is not part of the spec hash.
+    /// Not owned.
+    util::ThreadPool* pool = nullptr;
+
     /// Set by SynthesizeStage: the merged specification of the selected
     /// pin assignment (needed by validation and viable-set adversaries).
     std::optional<MergedSpec> best_spec;
@@ -137,7 +146,9 @@ public:
 };
 
 /// Phase II: genetic pin-assignment search, plus the equal-budget random
-/// baseline when params.run_random_baseline.
+/// baseline when params.run_random_baseline.  Each GA generation and the
+/// whole baseline are scored as one batch across ctx.pool (or a private
+/// pool sized to the machine); results are bit-identical to a serial run.
 class PinSearchStage final : public Stage {
 public:
     std::string_view name() const override { return "pin-search"; }

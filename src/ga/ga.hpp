@@ -6,6 +6,10 @@
 // the merged circuit (lower is better) as reported by technology mapping --
 // "we are using repeated logic synthesis in our exploration of pin
 // assignments".  Generation-by-generation history feeds Fig. 4b.
+//
+// Each generation is bred first (all RNG draws, in a fixed order) and then
+// scored as one batch, so a batch fitness may evaluate its genomes in any
+// order or in parallel without changing the result.
 
 #include <cstdint>
 #include <functional>
@@ -41,6 +45,18 @@ struct GaResult {
 /// Area-returning fitness (lower is better).
 using FitnessFn = std::function<double(const PinAssignment&)>;
 
+/// Batch fitness: element i of the result is the fitness of genomes[i].
+/// It must not depend on evaluation order (see flow::PinSearchStage, which
+/// scores a batch across a thread pool).
+using BatchFitnessFn =
+    std::function<std::vector<double>(const std::vector<PinAssignment>&)>;
+
+/// Throws std::invalid_argument when population < 1, generations < 0,
+/// elite < 0 or tournament_size < 1.
+GaResult run_ga(int num_functions, int num_inputs, int num_outputs,
+                const BatchFitnessFn& fitness, const GaParams& params);
+
+/// Serial form: calls `fitness` once per genome, in breeding order.
 GaResult run_ga(int num_functions, int num_inputs, int num_outputs,
                 const FitnessFn& fitness, const GaParams& params);
 
@@ -51,7 +67,14 @@ struct RandomSearchResult {
     std::vector<double> all_areas;  ///< one per sample (Fig. 4a histogram)
 };
 
-/// Equal-budget baseline: `count` uniformly random pin assignments.
+/// Equal-budget baseline: `count` uniformly random pin assignments, drawn
+/// first and then scored as one batch.  Throws std::invalid_argument when
+/// count < 1.
+RandomSearchResult random_search(int num_functions, int num_inputs,
+                                 int num_outputs, const BatchFitnessFn& fitness,
+                                 int count, std::uint64_t seed);
+
+/// Serial form: calls `fitness` once per assignment, in draw order.
 RandomSearchResult random_search(int num_functions, int num_inputs,
                                  int num_outputs, const FitnessFn& fitness,
                                  int count, std::uint64_t seed);

@@ -15,6 +15,33 @@ std::array<std::array<std::uint8_t, 4>, 24> make_permutations() {
     return perms;
 }
 
+// Packed entry: canon in bits 0-15, perm[j] in bits 16+2j..17+2j,
+// input_neg in bits 24-27, output_neg in bit 28, valid flag in bit 31.
+constexpr std::uint32_t kValid = 1u << 31;
+
+std::uint32_t pack(const NpnEntry& e) {
+    std::uint32_t w = e.canon;
+    for (int j = 0; j < 4; ++j) {
+        w |= static_cast<std::uint32_t>(e.transform.perm[static_cast<std::size_t>(j)])
+             << (16 + 2 * j);
+    }
+    w |= static_cast<std::uint32_t>(e.transform.input_neg) << 24;
+    w |= static_cast<std::uint32_t>(e.transform.output_neg) << 28;
+    return w | kValid;
+}
+
+NpnEntry unpack(std::uint32_t w) {
+    NpnEntry e;
+    e.canon = static_cast<std::uint16_t>(w);
+    for (int j = 0; j < 4; ++j) {
+        e.transform.perm[static_cast<std::size_t>(j)] =
+            static_cast<std::uint8_t>((w >> (16 + 2 * j)) & 3);
+    }
+    e.transform.input_neg = static_cast<std::uint8_t>((w >> 24) & 0xf);
+    e.transform.output_neg = ((w >> 28) & 1) != 0;
+    return e;
+}
+
 }  // namespace
 
 const std::array<std::array<std::uint8_t, 4>, 24>& NpnManager::permutations() {
@@ -22,7 +49,8 @@ const std::array<std::array<std::uint8_t, 4>, 24>& NpnManager::permutations() {
     return perms;
 }
 
-NpnManager::NpnManager() : table_(1u << 16), computed_(1u << 16, false) {}
+NpnManager::NpnManager()
+    : table_(std::make_unique<std::atomic<std::uint32_t>[]>(1u << 16)) {}
 
 std::uint16_t NpnManager::apply(std::uint16_t tt, const NpnTransform& t) {
     std::uint16_t out = 0;
@@ -41,8 +69,9 @@ std::uint16_t NpnManager::apply(std::uint16_t tt, const NpnTransform& t) {
     return out;
 }
 
-const NpnEntry& NpnManager::canonize(std::uint16_t tt) {
-    if (computed_[tt]) return table_[tt];
+NpnEntry NpnManager::canonize(std::uint16_t tt) {
+    const std::uint32_t memo = table_[tt].load(std::memory_order_relaxed);
+    if (memo & kValid) return unpack(memo);
 
     NpnEntry best;
     best.canon = 0xffff;
@@ -60,9 +89,8 @@ const NpnEntry& NpnManager::canonize(std::uint16_t tt) {
             }
         }
     }
-    table_[tt] = best;
-    computed_[tt] = true;
-    return table_[tt];
+    table_[tt].store(pack(best), std::memory_order_relaxed);
+    return best;
 }
 
 NpnRebuildWiring NpnManager::rebuild_wiring(const NpnTransform& t) {

@@ -5,12 +5,14 @@
 // precomputed replacement structure per class serves all 768 input/output
 // transform variants.  Canonization is exact (minimum 16-bit table over all
 // 24 permutations x 16 input negations x 2 output negations) and memoized in
-// a flat 2^16 table.
+// a flat 2^16 table that concurrent callers may share: each slot is one
+// atomic word packing the whole entry, so a lookup is a single relaxed load
+// and racing first computations store the same value.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 namespace mvf::logic {
 
@@ -41,8 +43,9 @@ class NpnManager {
 public:
     NpnManager();
 
-    /// Memoized exact canonization of a 16-bit truth table.
-    const NpnEntry& canonize(std::uint16_t tt);
+    /// Memoized exact canonization of a 16-bit truth table.  Safe to call
+    /// from several threads at once.
+    NpnEntry canonize(std::uint16_t tt);
 
     /// Applies a transform:  result(x) = f(y) ^ out_neg,  y_j = x_{perm[j]} ^ neg_j.
     static std::uint16_t apply(std::uint16_t tt, const NpnTransform& t);
@@ -54,9 +57,9 @@ public:
     static const std::array<std::array<std::uint8_t, 4>, 24>& permutations();
 
 private:
-    // Lazily filled; index = truth table.  `computed_` marks valid entries.
-    std::vector<NpnEntry> table_;
-    std::vector<bool> computed_;
+    // Lazily filled; index = truth table, value = packed NpnEntry with a
+    // valid bit (0 = not computed yet).
+    std::unique_ptr<std::atomic<std::uint32_t>[]> table_;
 };
 
 }  // namespace mvf::logic

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 namespace mvf::tech {
 
@@ -48,9 +49,7 @@ std::uint16_t realize_tt(const logic::TruthTable& cell_fn, int num_pins,
 }  // namespace
 
 const std::vector<CellMatch>& MatchCache::matches(std::uint16_t tt) {
-    const auto it = memo_.find(tt);
-    if (it != memo_.end()) return it->second;
-    return memo_.emplace(tt, compute(tt)).first->second;
+    return memo_.get(tt, [this, tt] { return compute(tt); });
 }
 
 std::vector<CellMatch> MatchCache::compute(std::uint16_t tt) const {

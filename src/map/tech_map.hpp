@@ -11,13 +11,13 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "map/gate_library.hpp"
 #include "map/netlist.hpp"
 #include "net/aig.hpp"
 #include "net/cuts.hpp"
+#include "util/memo16.hpp"
 
 namespace mvf::tech {
 
@@ -33,6 +33,7 @@ struct CellMatch {
 /// table fills lazily.  Share one instance across many tech_map calls (the
 /// genetic algorithm performs thousands of mapping runs against the same
 /// library, and the set of distinct cut functions saturates quickly).
+/// Concurrent tech_map calls may share one cache.
 class MatchCache {
 public:
     explicit MatchCache(GateLibrary library) : lib_(std::move(library)) {}
@@ -46,7 +47,7 @@ private:
     std::vector<CellMatch> compute(std::uint16_t tt) const;
 
     GateLibrary lib_;
-    std::unordered_map<std::uint16_t, std::vector<CellMatch>> memo_;
+    util::Memo16<std::vector<CellMatch>> memo_;
 };
 
 struct TechMapParams {

@@ -96,6 +96,7 @@ void JobScheduler::run_scenario_task(const std::shared_ptr<Job>& job,
         hooks.cancel = job->cancel;
         hooks.deadline = job->deadline;
         hooks.stage_store = store_;
+        hooks.pool = &pool_;
         hooks.progress = [this, &job, index,
                           &scenario](const flow::StageEvent& ev) {
             report::Json args = report::Json::object();

@@ -5,7 +5,9 @@
 //
 // SynthContext owns the memoized NPN table and rewrite library; one context
 // is shared by an entire experiment so the thousands of genetic-algorithm
-// fitness evaluations amortize canonization and structure synthesis.
+// fitness evaluations amortize canonization and structure synthesis.  Both
+// tables are safe for concurrent use, so parallel optimize() calls may share
+// one context.
 
 #include "logic/npn.hpp"
 #include "net/aig.hpp"

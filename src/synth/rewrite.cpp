@@ -1,6 +1,8 @@
 #include "synth/rewrite.hpp"
 
+#include <array>
 #include <cassert>
+#include <unordered_map>
 
 #include "logic/truth_table.hpp"
 #include "synth/aig_build.hpp"
@@ -16,21 +18,21 @@ using net::CutSet;
 using net::Lit;
 
 const RewriteLibrary::Entry& RewriteLibrary::structure_for(std::uint16_t canon_tt) {
-    const auto it = memo_.find(canon_tt);
-    if (it != memo_.end()) return it->second;
-
-    logic::TruthTable f(4);
-    for (std::uint32_t m = 0; m < 16; ++m) {
-        if ((canon_tt >> m) & 1) f.set_bit(m, true);
-    }
-    auto aig = std::make_shared<Aig>(4);
-    const std::array<Lit, 4> inputs{aig->pi(0), aig->pi(1), aig->pi(2), aig->pi(3)};
-    Entry entry;
-    entry.out = build_from_tt(f, inputs, aig.get());
-    aig->add_po(entry.out);
-    entry.num_ands = aig->count_live_ands();
-    entry.structure = std::move(aig);
-    return memo_.emplace(canon_tt, std::move(entry)).first->second;
+    return memo_.get(canon_tt, [canon_tt] {
+        logic::TruthTable f(4);
+        for (std::uint32_t m = 0; m < 16; ++m) {
+            if ((canon_tt >> m) & 1) f.set_bit(m, true);
+        }
+        auto aig = std::make_shared<Aig>(4);
+        const std::array<Lit, 4> inputs{aig->pi(0), aig->pi(1), aig->pi(2),
+                                        aig->pi(3)};
+        Entry entry;
+        entry.out = build_from_tt(f, inputs, aig.get());
+        aig->add_po(entry.out);
+        entry.num_ands = aig->count_live_ands();
+        entry.structure = std::move(aig);
+        return entry;
+    });
 }
 
 int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
@@ -51,7 +53,7 @@ int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
 
         for (const Cut& cut : cuts.cuts_of(n)) {
             if (cut.size() == 1 && cut.leaves[0] == n) continue;  // trivial
-            const logic::NpnEntry& canon = npn.canonize(cut.function);
+            const logic::NpnEntry canon = npn.canonize(cut.function);
             const RewriteLibrary::Entry& entry = lib.structure_for(canon.canon);
             const NpnRebuildWiring wiring =
                 NpnManager::rebuild_wiring(canon.transform);

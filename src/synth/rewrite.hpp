@@ -9,16 +9,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "logic/npn.hpp"
 #include "net/aig.hpp"
 #include "net/cuts.hpp"
+#include "util/memo16.hpp"
 
 namespace mvf::synth {
 
 /// Memoized canonical-class -> replacement-structure table.  Share one
-/// instance across all rewriting calls of a run.
+/// instance across all rewriting calls of a run; concurrent calls are safe.
 class RewriteLibrary {
 public:
     struct Entry {
@@ -31,7 +31,7 @@ public:
     const Entry& structure_for(std::uint16_t canon_tt);
 
 private:
-    std::unordered_map<std::uint16_t, Entry> memo_;
+    util::Memo16<Entry> memo_;
 };
 
 struct RewriteParams {

@@ -1,6 +1,9 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <exception>
 
 namespace mvf::util {
 
@@ -142,6 +145,51 @@ void ThreadPool::worker_loop(std::size_t worker) {
             if (pending_ == 0 && in_flight_ == 0) idle_.notify_all();
         }
     }
+}
+
+void parallel_for(ThreadPool& pool, std::size_t count,
+                  const std::function<void(std::size_t)>& body) {
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+             i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+            try {
+                body(i);
+            } catch (...) {
+                next.store(count, std::memory_order_relaxed);  // stop early
+                throw;
+            }
+        }
+    };
+    const std::size_t helpers = std::min(
+        static_cast<std::size_t>(pool.num_threads()), count > 0 ? count - 1 : 0);
+    std::vector<std::future<void>> futures;
+    futures.reserve(helpers);
+    for (std::size_t h = 0; h < helpers; ++h) futures.push_back(pool.submit(drain));
+
+    std::exception_ptr error;
+    try {
+        drain();
+    } catch (...) {
+        error = std::current_exception();
+    }
+    for (std::future<void>& f : futures) {
+        // Helping-wait: a queued helper may sit behind a busy pool; run it
+        // (or other queued work) here.  Once nothing is queued, every
+        // helper has been taken and will finish without us.
+        while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+            if (!pool.run_one()) {
+                f.wait();
+                break;
+            }
+        }
+        try {
+            f.get();
+        } catch (...) {
+            if (!error) error = std::current_exception();
+        }
+    }
+    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace mvf::util

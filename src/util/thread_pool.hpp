@@ -90,4 +90,13 @@ private:
     bool stopping_ = false;
 };
 
+/// Runs body(i) for every i in [0, count) on the calling thread plus up to
+/// num_threads() helper tasks queued on `pool`; indices are claimed one at
+/// a time, so uneven items balance themselves.  Returns when every item has
+/// finished; the first exception thrown by `body` is rethrown after that.
+/// The caller helping-waits (ThreadPool::run_one), so it is safe to call
+/// from inside a task of the same pool.
+void parallel_for(ThreadPool& pool, std::size_t count,
+                  const std::function<void(std::size_t)>& body);
+
 }  // namespace mvf::util

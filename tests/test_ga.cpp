@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "ga/ga.hpp"
 
@@ -187,6 +190,199 @@ TEST(RandomSearch, DifferentSeedsDiffer) {
     const RandomSearchResult a = random_search(1, 4, 4, fitness, 10, 1);
     const RandomSearchResult b = random_search(1, 4, 4, fitness, 10, 2);
     EXPECT_NE(a.all_areas, b.all_areas);
+}
+
+// The GA as it was before generations were scored in batches: fitness is
+// called right after each genome is drawn or bred.  Kept as the reference
+// for the genome order the batched GA must reproduce.
+std::vector<PinAssignment> interleaved_reference_order(
+    int n, int m, int r, const FitnessFn& fitness, const GaParams& params) {
+    struct Ind {
+        PinAssignment genes;
+        double area;
+    };
+    std::vector<PinAssignment> order;
+    const auto eval = [&](const PinAssignment& g) {
+        order.push_back(g);
+        return fitness(g);
+    };
+    util::Rng rng(params.seed);
+    std::vector<Ind> pop(static_cast<std::size_t>(params.population));
+    for (Ind& ind : pop) {
+        ind.genes = PinAssignment::random(n, m, r, rng);
+        ind.area = eval(ind.genes);
+    }
+    const auto tournament = [&]() -> const Ind& {
+        const Ind* best = nullptr;
+        for (int t = 0; t < params.tournament_size; ++t) {
+            const Ind& c = pop[static_cast<std::size_t>(
+                rng.uniform_int(0, params.population - 1))];
+            if (!best || c.area < best->area) best = &c;
+        }
+        return *best;
+    };
+    for (int gen = 0; gen < params.generations; ++gen) {
+        std::sort(pop.begin(), pop.end(),
+                  [](const Ind& a, const Ind& b) { return a.area < b.area; });
+        std::vector<Ind> next(pop.begin(),
+                              pop.begin() + std::min(params.elite, params.population));
+        while (static_cast<int>(next.size()) < params.population) {
+            const Ind& p1 = tournament();
+            const Ind& p2 = tournament();
+            PinAssignment child = p1.genes;
+            if (rng.coin(params.crossover_prob)) {
+                for (std::size_t k = 0; k < static_cast<std::size_t>(n); ++k) {
+                    child.input_perms[k] = pmx_crossover(
+                        p1.genes.input_perms[k], p2.genes.input_perms[k], rng);
+                    child.output_perms[k] = pmx_crossover(
+                        p1.genes.output_perms[k], p2.genes.output_perms[k], rng);
+                }
+            }
+            for (std::size_t k = 0; k < static_cast<std::size_t>(n); ++k) {
+                if (rng.coin(params.mutation_prob)) {
+                    swap_mutation(&child.input_perms[k], rng);
+                }
+                if (rng.coin(params.mutation_prob)) {
+                    swap_mutation(&child.output_perms[k], rng);
+                }
+            }
+            const double area = eval(child);
+            next.push_back({std::move(child), area});
+        }
+        pop = std::move(next);
+    }
+    return order;
+}
+
+double weighted_fitness(const PinAssignment& pa) {
+    double v = 0;
+    for (const auto& p : pa.input_perms) {
+        for (std::size_t i = 0; i < p.size(); ++i) v += p[i] * static_cast<double>(i + 1);
+    }
+    for (const auto& p : pa.output_perms) v += p.front();
+    return v;
+}
+
+TEST(Ga, SerialAndBatchFitnessSeeTheInterleavedGenomeOrder) {
+    GaParams params;
+    params.population = 9;
+    params.generations = 7;
+    params.elite = 2;
+    params.seed = 23;
+    const std::vector<PinAssignment> reference =
+        interleaved_reference_order(2, 4, 3, weighted_fitness, params);
+
+    std::vector<PinAssignment> serial_order;
+    const GaResult serial = run_ga(2, 4, 3, [&](const PinAssignment& pa) {
+        serial_order.push_back(pa);
+        return weighted_fitness(pa);
+    }, params);
+    EXPECT_EQ(serial_order, reference);
+
+    std::vector<PinAssignment> batch_order;
+    std::vector<std::size_t> batch_sizes;
+    const BatchFitnessFn batch = [&](const std::vector<PinAssignment>& genomes) {
+        batch_sizes.push_back(genomes.size());
+        std::vector<double> areas;
+        // Score back to front: the order a batch is evaluated in is free.
+        for (auto it = genomes.rbegin(); it != genomes.rend(); ++it) {
+            areas.insert(areas.begin(), weighted_fitness(*it));
+        }
+        batch_order.insert(batch_order.end(), genomes.begin(), genomes.end());
+        return areas;
+    };
+    const GaResult batched = run_ga(2, 4, 3, batch, params);
+    EXPECT_EQ(batch_order, reference);
+    // One batch for the initial population, then one per generation.
+    std::vector<std::size_t> expected_sizes(1, 9);
+    expected_sizes.resize(1 + 7, 9 - 2);
+    EXPECT_EQ(batch_sizes, expected_sizes);
+
+    EXPECT_EQ(batched.best, serial.best);
+    EXPECT_EQ(batched.best_area, serial.best_area);
+    EXPECT_EQ(batched.history.best_per_generation,
+              serial.history.best_per_generation);
+    EXPECT_EQ(batched.history.avg_per_generation,
+              serial.history.avg_per_generation);
+    EXPECT_EQ(batched.history.evaluations, serial.history.evaluations);
+    EXPECT_EQ(serial.history.evaluations, static_cast<int>(reference.size()));
+}
+
+TEST(RandomSearch, SerialAndBatchFitnessSeeTheDrawOrder) {
+    util::Rng rng(31);
+    std::vector<PinAssignment> reference;
+    for (int i = 0; i < 25; ++i) reference.push_back(PinAssignment::random(3, 4, 2, rng));
+
+    std::vector<PinAssignment> serial_order;
+    const RandomSearchResult serial = random_search(
+        3, 4, 2,
+        [&](const PinAssignment& pa) {
+            serial_order.push_back(pa);
+            return weighted_fitness(pa);
+        },
+        25, 31);
+    EXPECT_EQ(serial_order, reference);
+
+    int batches = 0;
+    const RandomSearchResult batched = random_search(
+        3, 4, 2,
+        [&](const std::vector<PinAssignment>& genomes) {
+            ++batches;
+            EXPECT_EQ(genomes, reference);
+            std::vector<double> areas;
+            for (const PinAssignment& g : genomes) areas.push_back(weighted_fitness(g));
+            return areas;
+        },
+        25, 31);
+    EXPECT_EQ(batches, 1);
+    EXPECT_EQ(batched.all_areas, serial.all_areas);
+    EXPECT_EQ(batched.best, serial.best);
+    EXPECT_EQ(batched.best_area, serial.best_area);
+    EXPECT_EQ(batched.avg_area, serial.avg_area);
+}
+
+TEST(Ga, RejectsNonsensicalBudgets) {
+    const auto fitness = [](const PinAssignment&) { return 1.0; };
+    const auto rejects = [&](GaParams params) {
+        EXPECT_THROW(run_ga(1, 4, 4, fitness, params), std::invalid_argument);
+    };
+    GaParams p;
+    p.population = 0;  // used to segfault
+    rejects(p);
+    p.population = -3;  // used to throw length_error from std::vector
+    rejects(p);
+    p = GaParams{};
+    p.generations = -1;  // used to be accepted silently
+    rejects(p);
+    p = GaParams{};
+    p.elite = -1;
+    rejects(p);
+    p = GaParams{};
+    p.tournament_size = 0;
+    rejects(p);
+
+    // The smallest legal budgets still run.
+    p = GaParams{};
+    p.population = 1;
+    p.generations = 0;
+    p.elite = 0;
+    p.tournament_size = 1;
+    const GaResult r = run_ga(1, 4, 4, fitness, p);
+    EXPECT_EQ(r.history.evaluations, 1);
+    EXPECT_EQ(r.best_area, 1.0);
+
+    EXPECT_THROW(random_search(1, 4, 4, fitness, 0, 1), std::invalid_argument);
+    EXPECT_THROW(random_search(1, 4, 4, fitness, -5, 1), std::invalid_argument);
+}
+
+TEST(Ga, BatchFitnessMustScoreEveryGenome) {
+    GaParams params;
+    params.population = 4;
+    const BatchFitnessFn short_batch = [](const std::vector<PinAssignment>& g) {
+        return std::vector<double>(g.size() - 1, 1.0);
+    };
+    EXPECT_THROW(run_ga(1, 4, 4, short_batch, params), std::logic_error);
+    EXPECT_THROW(random_search(1, 4, 4, short_batch, 4, 1), std::logic_error);
 }
 
 }  // namespace

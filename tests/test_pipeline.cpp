@@ -4,14 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "flow/batch_runner.hpp"
 #include "flow/pipeline.hpp"
+#include "map/tech_map.hpp"
 #include "report/json.hpp"
 #include "sbox/sbox_data.hpp"
+#include "serve/protocol.hpp"
+#include "synth/optimize.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mvf::flow {
 namespace {
@@ -254,6 +260,144 @@ TEST(Pipeline, UnknownAdversaryNameIsDiagnosed) {
     }
 }
 
+// ------------------------------------------------------- parallel search --
+
+FlowResult run_standard(ObfuscationFlow& engine,
+                        const std::vector<ViableFunction>& fns,
+                        const FlowParams& params, util::ThreadPool* pool) {
+    FlowContext ctx(engine, fns, params);
+    ctx.pool = pool;
+    Pipeline::standard(params).run(ctx);
+    return std::move(ctx.result);
+}
+
+// Pin search on pools of 1, 2 and 4 threads (and the stage's own pool), on
+// warm and cold engines, matches the serial FitnessFn path bit for bit.
+void expect_pool_size_never_changes_the_result(int width) {
+    const auto fns = from_sboxes(sbox::present_viable_set(width));
+    FlowParams params = tiny_params(static_cast<std::uint64_t>(40 + width));
+    params.ga.population = 5;
+    params.ga.generations = 2;
+    // The final synthesis is serial and not under test: keep it cheap.
+    params.final_effort = synth::Effort::kFast;
+    params.final_best_of_builds = false;
+
+    // Reference: the serial FitnessFn overloads on a cold engine.
+    ObfuscationFlow serial_engine;
+    const ga::FitnessFn fitness = [&](const ga::PinAssignment& pa) {
+        return serial_engine.evaluate_area(fns, pa, params.fitness_effort,
+                                           params.fitness_build);
+    };
+    ga::GaParams ga_params = params.ga;
+    ga_params.seed = params.seed;
+    const int m = fns.front().num_inputs;
+    const int r = fns.front().num_outputs;
+    const ga::GaResult serial_ga = ga::run_ga(width, m, r, fitness, ga_params);
+    const ga::RandomSearchResult serial_rs =
+        ga::random_search(width, m, r, fitness, serial_ga.history.evaluations,
+                          params.seed ^ 0xabcdef12345ull);
+
+    // One engine's caches carry over between pool sizes; a cold engine
+    // on the widest pool races first computations of every cache entry.
+    ObfuscationFlow warm;
+    std::optional<double> tm_area;
+    for (const int threads : {0, 1, 2, 4}) {  // 0 = the stage's own pool
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::optional<util::ThreadPool> pool;
+        if (threads > 0) pool.emplace(threads);
+        const FlowResult a =
+            run_standard(warm, fns, params, pool ? &*pool : nullptr);
+        if (threads == 4) {
+            ObfuscationFlow cold;
+            expect_identical_results(
+                a, run_standard(cold, fns, params, &*pool));
+        }
+        EXPECT_EQ(a.ga.best, serial_ga.best);
+        EXPECT_EQ(a.ga.best_area, serial_ga.best_area);
+        EXPECT_EQ(a.ga.history.best_per_generation,
+                  serial_ga.history.best_per_generation);
+        EXPECT_EQ(a.ga.history.avg_per_generation,
+                  serial_ga.history.avg_per_generation);
+        EXPECT_EQ(a.ga.history.evaluations, serial_ga.history.evaluations);
+        EXPECT_EQ(a.random_areas, serial_rs.all_areas);
+        EXPECT_EQ(a.random_best, serial_rs.best_area);
+        EXPECT_EQ(a.random_avg, serial_rs.avg_area);
+        if (!tm_area) tm_area = a.ga_tm_area;
+        EXPECT_EQ(a.ga_tm_area, *tm_area);
+    }
+}
+
+TEST(PinSearch, PoolSizeNeverChangesTheResultPresent2) {
+    expect_pool_size_never_changes_the_result(2);
+}
+
+TEST(PinSearch, PoolSizeNeverChangesTheResultPresent4) {
+    expect_pool_size_never_changes_the_result(4);
+}
+
+TEST(SharedCaches, ConcurrentLookupsMatchSerial) {
+    // NpnManager, RewriteLibrary and MatchCache are shared by every fitness
+    // worker.  Hammer them from four threads, each starting at a different
+    // key so first computations race, and check every answer against a
+    // single-threaded instance.
+    std::vector<std::uint16_t> keys;
+    for (std::uint32_t tt = 0; tt < (1u << 16); tt += 97) {
+        keys.push_back(static_cast<std::uint16_t>(tt));
+    }
+    synth::SynthContext shared;
+    tech::MatchCache shared_match(tech::GateLibrary::standard());
+    constexpr int kThreads = 4;
+    struct Seen {
+        const synth::RewriteLibrary::Entry* entry = nullptr;
+        const std::vector<tech::CellMatch>* matches = nullptr;
+        logic::NpnEntry npn;
+    };
+    std::vector<std::vector<Seen>> seen(kThreads, std::vector<Seen>(keys.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 2; ++round) {
+                for (std::size_t j = 0; j < keys.size(); ++j) {
+                    const std::size_t k = (j + t * keys.size() / kThreads) % keys.size();
+                    Seen& s = seen[static_cast<std::size_t>(t)][k];
+                    s.npn = shared.npn.canonize(keys[k]);
+                    s.entry = &shared.rewrite_lib.structure_for(s.npn.canon);
+                    s.matches = &shared_match.matches(keys[k]);
+                }
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+
+    synth::SynthContext serial;
+    tech::MatchCache serial_match(tech::GateLibrary::standard());
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        const logic::NpnEntry want = serial.npn.canonize(keys[k]);
+        const synth::RewriteLibrary::Entry& want_entry =
+            serial.rewrite_lib.structure_for(want.canon);
+        const std::vector<tech::CellMatch>& want_matches =
+            serial_match.matches(keys[k]);
+        for (int t = 0; t < kThreads; ++t) {
+            const Seen& s = seen[static_cast<std::size_t>(t)][k];
+            EXPECT_EQ(s.npn.canon, want.canon);
+            EXPECT_EQ(s.npn.transform.perm, want.transform.perm);
+            EXPECT_EQ(s.npn.transform.input_neg, want.transform.input_neg);
+            EXPECT_EQ(s.npn.transform.output_neg, want.transform.output_neg);
+            // One memoized object per key, seen by every thread.
+            EXPECT_EQ(s.entry, seen[0][k].entry);
+            EXPECT_EQ(s.matches, seen[0][k].matches);
+            EXPECT_EQ(s.entry->num_ands, want_entry.num_ands);
+            EXPECT_EQ(s.entry->out, want_entry.out);
+            ASSERT_EQ(s.matches->size(), want_matches.size()) << keys[k];
+            for (std::size_t i = 0; i < want_matches.size(); ++i) {
+                EXPECT_EQ((*s.matches)[i].cell_id, want_matches[i].cell_id);
+                EXPECT_EQ((*s.matches)[i].pin_leaf_pos, want_matches[i].pin_leaf_pos);
+                EXPECT_EQ((*s.matches)[i].pin_neg, want_matches[i].pin_neg);
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------ batch runner --
 
 std::vector<Scenario> eight_scenarios() {
@@ -320,6 +464,58 @@ TEST(BatchRunner, ParallelExecutionMatchesSerial) {
             EXPECT_TRUE(a.attacks[k] == b.attacks[k]) << a.name;
         }
     }
+}
+
+TEST(BatchRunner, RecordsHashIsIndependentOfJobs) {
+    // --jobs 1 gives every pin search a private pool; --jobs 2 lends it the
+    // batch pool.  Neither may change a record.
+    // present:4 and present:2 without adversaries: only the flow matters.
+    const std::vector<Scenario> eight = eight_scenarios();
+    const std::vector<Scenario> scenarios(eight.begin() + 1, eight.begin() + 3);
+    BatchParams one;
+    one.jobs = 1;
+    BatchParams two;
+    two.jobs = 2;
+    const std::string h1 = serve::records_hash(BatchRunner(one).run(scenarios));
+    const std::string h2 = serve::records_hash(BatchRunner(two).run(scenarios));
+    EXPECT_FALSE(h1.empty());
+    EXPECT_EQ(h1, h2);
+}
+
+TEST(BatchRunner, SpecRejectsNonsensicalGaBudgets) {
+    const auto error_of = [](const std::string& text) -> std::string {
+        try {
+            parse_scenario_spec(text);
+        } catch (const std::invalid_argument& e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(error_of("# header\nname=a funcs=present:2 population=0\n")
+                  .find("line 2: population must be >= 1"),
+              std::string::npos);
+    EXPECT_NE(error_of("name=a funcs=present:2 pop=-3\n")
+                  .find("line 1: population must be >= 1"),
+              std::string::npos);
+    EXPECT_NE(error_of("name=a funcs=present:2 generations=-1\n")
+                  .find("line 1: generations must be >= 0"),
+              std::string::npos);
+    EXPECT_EQ(error_of("name=a funcs=present:2 population=1 generations=0\n"), "");
+}
+
+TEST(BatchRunner, ZeroPopulationFailsTheScenarioNotTheProcess) {
+    // Programmatic scenarios bypass the spec parser; the GA itself rejects
+    // the budget and the runner captures it in the record.
+    Scenario s;
+    s.name = "p0";
+    s.n = 2;
+    s.params = tiny_params();
+    s.params.ga.population = 0;
+    const std::vector<ScenarioRecord> records = BatchRunner().run({s});
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_FALSE(records[0].ok);
+    EXPECT_EQ(records[0].status, "error");
+    EXPECT_NE(records[0].error.find("population"), std::string::npos);
 }
 
 TEST(BatchRunner, ScenarioFailureIsCapturedNotThrown) {

@@ -281,6 +281,53 @@ TEST(ThreadPool, ShardedTaskExceptionsPropagateThroughTheFuture) {
     EXPECT_TRUE(ran.load());
 }
 
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+    for (const int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        for (const std::size_t count : {0, 1, 2, 7, 100}) {
+            std::vector<std::atomic<int>> hits(count);
+            parallel_for(pool, count, [&](std::size_t i) { ++hits[i]; });
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(ParallelFor, RethrowsAfterEveryClaimedItemFinished) {
+    ThreadPool pool(3);
+    std::atomic<int> running{0};
+    EXPECT_THROW(parallel_for(pool, 64,
+                              [&](std::size_t i) {
+                                  ++running;
+                                  std::this_thread::sleep_for(std::chrono::microseconds(200));
+                                  --running;
+                                  if (i == 5) throw std::runtime_error("boom");
+                              }),
+                 std::runtime_error);
+    // Nothing still touches the caller's frame once the exception arrives.
+    EXPECT_EQ(running.load(), 0);
+    // The pool is still usable.
+    std::atomic<int> ran{0};
+    parallel_for(pool, 8, [&](std::size_t) { ++ran; });
+    EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ParallelFor, NestedInsideASaturatedPoolDoesNotDeadlock) {
+    // Every worker runs an outer task that itself fans out on the same
+    // pool: the callers' helping-wait keeps the inner batches moving.
+    ThreadPool pool(2);
+    std::atomic<int> inner{0};
+    std::vector<std::future<void>> outers;
+    for (int o = 0; o < 5; ++o) {
+        outers.push_back(pool.submit([&] {
+            parallel_for(pool, 10, [&](std::size_t) { ++inner; });
+        }));
+    }
+    for (std::future<void>& f : outers) f.get();
+    EXPECT_EQ(inner.load(), 50);
+}
+
 // NIST FIPS 180-4 test vectors (plus the standard one-million-'a' vector
 // from the SHA byte-test suite).
 TEST(Sha256, FipsVectors) {

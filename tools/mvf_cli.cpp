@@ -358,11 +358,17 @@ bool parse_scenario_flags(int argc, char** argv, int start,
             }
         } else if (arg == "--seed") {
             if (!next_value(argc, argv, &i, &value)) return false;
-            scenario->params.seed = std::strtoull(value.c_str(), nullptr, 10);
+            if (!parse_u64_flag(value, "--seed", &scenario->params.seed)) {
+                return false;
+            }
         } else if (arg == "--population") {
             if (!next_value(argc, argv, &i, &value)) return false;
             if (!parse_int_flag(value, "--population",
                                 &scenario->params.ga.population)) {
+                return false;
+            }
+            if (scenario->params.ga.population < 1) {
+                std::fprintf(stderr, "mvf: --population must be >= 1\n");
                 return false;
             }
             population_set = true;
@@ -371,6 +377,10 @@ bool parse_scenario_flags(int argc, char** argv, int start,
             if (!next_value(argc, argv, &i, &value)) return false;
             if (!parse_int_flag(value, "--generations",
                                 &scenario->params.ga.generations)) {
+                return false;
+            }
+            if (scenario->params.ga.generations < 0) {
+                std::fprintf(stderr, "mvf: --generations must be >= 0\n");
                 return false;
             }
             generations_set = true;
