@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <thread>
 
-#include "camo/inject.hpp"
+#include "flow/scenario_schema.hpp"
 #include "flow/spec_hash.hpp"
 #include "obs/trace.hpp"
 #include "sbox/sbox_data.hpp"
@@ -20,76 +20,6 @@
 #include "util/thread_pool.hpp"
 
 namespace mvf::flow {
-
-namespace {
-
-[[noreturn]] void spec_error(int line, const std::string& what) {
-    throw std::invalid_argument("scenario spec line " + std::to_string(line) +
-                                ": " + what);
-}
-
-bool parse_flag(const std::string& value, int line, const std::string& key) {
-    if (value == "1" || value == "true") return true;
-    if (value == "0" || value == "false") return false;
-    spec_error(line, "flag " + key + " must be 0/1/true/false, got \"" + value +
-                         "\"");
-}
-
-int parse_int(const std::string& value, int line, const std::string& key) {
-    try {
-        std::size_t used = 0;
-        const int parsed = std::stoi(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-    } catch (const std::exception&) {
-        spec_error(line, key + " is not a number: \"" + value + "\"");
-    }
-}
-
-std::uint64_t parse_u64(const std::string& value, int line,
-                        const std::string& key) {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t parsed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-    } catch (const std::exception&) {
-        spec_error(line, key + " is not a number: \"" + value + "\"");
-    }
-}
-
-double parse_double(const std::string& value, int line,
-                    const std::string& key) {
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        return parsed;
-    } catch (const std::exception&) {
-        spec_error(line, key + " is not a number: \"" + value + "\"");
-    }
-}
-
-std::vector<std::string> split_csv(const std::string& value) {
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream in(value);
-    while (std::getline(in, item, ',')) {
-        if (!item.empty()) out.push_back(item);
-    }
-    return out;
-}
-
-std::string file_stem(const std::string& path) {
-    const std::size_t slash = path.find_last_of("/\\");
-    const std::size_t start = slash == std::string::npos ? 0 : slash + 1;
-    const std::size_t dot = path.find_last_of('.');
-    const std::size_t end =
-        (dot == std::string::npos || dot <= start) ? path.size() : dot;
-    return path.substr(start, end - start);
-}
-
-}  // namespace
 
 ScenarioRecord run_scenario(const Scenario& scenario, int index,
                             const ScenarioRunHooks& hooks) {
@@ -216,364 +146,28 @@ std::vector<Scenario> parse_scenario_spec(const std::string& text) {
     int line_no = 0;
     while (std::getline(in, raw)) {
         ++line_no;
-        const std::size_t hash = raw.find('#');
-        if (hash != std::string::npos) raw.resize(hash);
+        raw.resize(std::min(raw.find('#'), raw.size()));
         std::istringstream tokens(raw);
         std::string token;
-        Scenario s;
+        ScenarioBuilder builder(Surface::kSpec);
         bool any = false;
-        // Counting-key bookkeeping for the contradiction checks below.
-        bool explicit_mode = false;
-        bool has_eps_delta = false;
-        bool has_cache_mb = false;
-        bool has_max_survivors = false;
-        bool counting_disabled = false;  // explicit enum_survivors=0
-        bool has_noise = false;
-        // Circuit-vs-funcs bookkeeping: circuit scenarios reject keys that
-        // only steer the S-box synthesis flow.
-        bool has_funcs = false;
-        bool has_camo_density = false;
-        bool has_camo_cells = false;
-        bool has_camo_key = false;  // any camo_* knob
-        bool has_sbox_only_key = false;
-        std::string sbox_only_key;
-        const auto note_sbox_only = [&](const std::string& key) {
-            if (!has_sbox_only_key) sbox_only_key = key;
-            has_sbox_only_key = true;
-        };
-        while (tokens >> token) {
-            any = true;
-            const std::size_t eq = token.find('=');
-            if (eq == std::string::npos) {
-                spec_error(line_no, "expected key=value, got \"" + token + "\"");
+        try {
+            while (tokens >> token) {
+                any = true;
+                const std::size_t eq = token.find('=');
+                if (eq == std::string::npos) {
+                    throw std::invalid_argument("expected key=value, got \"" +
+                                                token + "\"");
+                }
+                builder.set(std::string_view(token).substr(0, eq),
+                            std::string_view(token).substr(eq + 1));
             }
-            const std::string key = token.substr(0, eq);
-            const std::string value = token.substr(eq + 1);
-            if (key == "name") {
-                s.name = value;
-            } else if (key == "funcs") {
-                const std::size_t colon = value.find(':');
-                if (colon == std::string::npos) {
-                    spec_error(line_no, "funcs must be family:n, got \"" +
-                                            value + "\"");
-                }
-                s.family = value.substr(0, colon);
-                s.n = parse_int(value.substr(colon + 1), line_no, "funcs width");
-                has_funcs = true;
-            } else if (key == "circuit") {
-                if (value.empty()) {
-                    spec_error(line_no, "circuit needs a file path");
-                }
-                s.params.circuit.path = value;
-            } else if (key == "camo_density") {
-                s.params.circuit.camo_density =
-                    parse_double(value, line_no, key);
-                if (!(s.params.circuit.camo_density > 0.0 &&
-                      s.params.circuit.camo_density <= 1.0)) {
-                    spec_error(line_no, "camo_density must be in (0, 1]");
-                }
-                has_camo_density = true;
-                has_camo_key = true;
-            } else if (key == "camo_cells") {
-                s.params.circuit.camo_cells = parse_int(value, line_no, key);
-                if (s.params.circuit.camo_cells < 1) {
-                    spec_error(line_no, "camo_cells must be >= 1");
-                }
-                has_camo_cells = true;
-                has_camo_key = true;
-            } else if (key == "camo_seed") {
-                s.params.circuit.camo_seed = parse_u64(value, line_no, key);
-                has_camo_key = true;
-            } else if (key == "camo_policy") {
-                camo::InjectPolicy policy;
-                if (!camo::inject_policy_from_name(value, &policy)) {
-                    spec_error(line_no,
-                               "camo_policy must be random, fanout or depth, "
-                               "got \"" + value + "\"");
-                }
-                s.params.circuit.camo_policy = value;
-                has_camo_key = true;
-            } else if (key == "seed") {
-                s.params.seed = parse_u64(value, line_no, key);
-            } else if (key == "population" || key == "pop") {
-                s.params.ga.population = parse_int(value, line_no, key);
-                if (s.params.ga.population < 1) {
-                    spec_error(line_no, "population must be >= 1");
-                }
-                note_sbox_only(key);
-            } else if (key == "generations" || key == "gens") {
-                s.params.ga.generations = parse_int(value, line_no, key);
-                if (s.params.ga.generations < 0) {
-                    spec_error(line_no, "generations must be >= 0");
-                }
-                note_sbox_only(key);
-            } else if (key == "attack") {
-                if (value == "none") {
-                    s.params.adversaries.clear();
-                    s.params.run_oracle_attack = false;
-                } else {
-                    s.params.adversaries = split_csv(value);
-                }
-            } else if (key == "baseline") {
-                s.params.run_random_baseline = parse_flag(value, line_no, key);
-                note_sbox_only(key);
-            } else if (key == "camo") {
-                s.params.run_camo_mapping = parse_flag(value, line_no, key);
-            } else if (key == "verify") {
-                s.params.verify = parse_flag(value, line_no, key);
-                note_sbox_only(key);
-            } else if (key == "final_best") {
-                s.params.final_best_of_builds = parse_flag(value, line_no, key);
-                note_sbox_only(key);
-            } else if (key == "max_survivors") {
-                // Cap on the CEGAR survivor enumeration; small values keep
-                // attack scenarios fast on huge configuration spaces.
-                // Only meaningful for count_mode=enumerate (and implies it
-                // when no count_mode is given -- see below).
-                s.params.oracle.max_survivors = parse_u64(value, line_no, key);
-                has_max_survivors = true;
-            } else if (key == "count_mode") {
-                if (!attack::count_mode_from_name(
-                        value, &s.params.oracle.count_mode)) {
-                    spec_error(line_no, "count_mode must be exact, approx or "
-                                        "enumerate, got \"" + value + "\"");
-                }
-                explicit_mode = true;
-            } else if (key == "count_cache_mb") {
-                s.params.oracle.count_cache_mb = parse_int(value, line_no, key);
-                has_cache_mb = true;
-            } else if (key == "count_max_decisions") {
-                s.params.oracle.count_max_decisions =
-                    parse_u64(value, line_no, key);
-                has_cache_mb = true;  // same exact-only applicability rule
-            } else if (key == "epsilon") {
-                s.params.oracle.epsilon = parse_double(value, line_no, key);
-                has_eps_delta = true;
-            } else if (key == "delta") {
-                s.params.oracle.delta = parse_double(value, line_no, key);
-                has_eps_delta = true;
-            } else if (key == "enum_survivors") {
-                s.params.oracle.enumerate_survivors =
-                    parse_flag(value, line_no, key);
-                counting_disabled = !s.params.oracle.enumerate_survivors;
-            } else if (key == "preprocess") {
-                s.params.oracle.solver.preprocess =
-                    parse_flag(value, line_no, key);
-            } else if (key == "shared_miter") {
-                s.params.oracle.shared_miter = parse_flag(value, line_no, key);
-            } else if (key == "canonical_inputs") {
-                s.params.oracle.canonical_inputs =
-                    parse_flag(value, line_no, key);
-            } else if (key == "query_budget") {
-                s.params.oracle_model.query_budget =
-                    parse_u64(value, line_no, key);
-                if (s.params.oracle_model.query_budget == 0) {
-                    spec_error(line_no, "query_budget must be > 0 (omit the "
-                                        "key for an unlimited oracle)");
-                }
-            } else if (key == "oracle_noise") {
-                s.params.oracle_model.noise = parse_double(value, line_no, key);
-                if (!(s.params.oracle_model.noise >= 0.0 &&
-                      s.params.oracle_model.noise < 1.0)) {
-                    spec_error(line_no, "oracle_noise must be in [0, 1)");
-                }
-                has_noise = true;
-            } else if (key == "oracle_cache") {
-                s.params.oracle_model.cache = parse_flag(value, line_no, key);
-            } else if (key == "save_transcript") {
-                s.params.save_transcript = value;
-            } else if (key == "replay_transcript") {
-                s.params.replay_transcript = value;
-            } else if (key == "emit_proof") {
-                s.params.emit_proof = value;
-            } else if (key == "neighborhood_queries") {
-                s.params.oracle.neighborhood_queries =
-                    parse_int(value, line_no, key);
-                if (s.params.oracle.neighborhood_queries < 0) {
-                    spec_error(line_no, "neighborhood_queries must be >= 0");
-                }
-            } else if (key == "random_warmup") {
-                s.params.oracle.random_warmup = parse_int(value, line_no, key);
-                if (s.params.oracle.random_warmup < 0) {
-                    spec_error(line_no, "random_warmup must be >= 0");
-                }
-            } else if (key == "random_queries") {
-                s.params.random_queries = parse_int(value, line_no, key);
-                if (s.params.random_queries <= 0) {
-                    spec_error(line_no, "random_queries must be > 0");
-                }
-            } else if (key == "metrics") {
-                s.params.oracle.collect_metrics =
-                    parse_flag(value, line_no, key);
-            } else if (key == "attack_threads") {
-                s.params.oracle.attack_threads = parse_int(value, line_no, key);
-                if (s.params.oracle.attack_threads < 1) {
-                    spec_error(line_no, "attack_threads must be >= 1");
-                }
-            } else if (key == "portfolio") {
-                // 0 = follow attack_threads, 1 = force serial CEGAR.
-                s.params.oracle.portfolio = parse_int(value, line_no, key);
-                if (s.params.oracle.portfolio < 0) {
-                    spec_error(line_no, "portfolio must be >= 0");
-                }
-            } else if (key == "cube_vars") {
-                s.params.oracle.cube_vars = parse_int(value, line_no, key);
-                if (s.params.oracle.cube_vars < 0 ||
-                    s.params.oracle.cube_vars > 16) {
-                    spec_error(line_no, "cube_vars must be in 0..16");
-                }
-            } else {
-                spec_error(line_no,
-                           "unknown key \"" + key +
-                               "\" (name funcs circuit camo_density "
-                               "camo_cells camo_seed camo_policy "
-                               "seed population generations "
-                               "attack baseline camo verify final_best "
-                               "count_mode count_cache_mb "
-                               "count_max_decisions epsilon delta "
-                               "max_survivors enum_survivors preprocess "
-                               "shared_miter canonical_inputs query_budget "
-                               "oracle_noise oracle_cache save_transcript "
-                               "replay_transcript emit_proof "
-                               "neighborhood_queries random_warmup "
-                               "random_queries metrics attack_threads "
-                               "portfolio cube_vars)");
-            }
+            if (any) scenarios.push_back(builder.finish());
+        } catch (const std::invalid_argument& e) {
+            throw std::invalid_argument("scenario spec line " +
+                                        std::to_string(line_no) + ": " +
+                                        e.what());
         }
-        if (!any) continue;  // blank/comment line
-        // Circuit scenarios are file-based: the subject comes from the
-        // benchmark, so the viable-function and synthesis-flow keys are
-        // contradictions, and the camo_* knobs require a circuit.
-        const bool is_circuit = !s.params.circuit.path.empty();
-        if (is_circuit && has_funcs) {
-            spec_error(line_no,
-                       "circuit and funcs name two different subjects; "
-                       "pick one");
-        }
-        if (!is_circuit && has_camo_key) {
-            spec_error(line_no,
-                       "camo_density/camo_cells/camo_seed/camo_policy "
-                       "require circuit=PATH (the S-box flow camouflages "
-                       "via Phase III covering)");
-        }
-        if (is_circuit && has_sbox_only_key) {
-            spec_error(line_no,
-                       "key \"" + sbox_only_key +
-                           "\" steers the S-box synthesis flow, which "
-                           "circuit scenarios skip");
-        }
-        if (has_camo_density && has_camo_cells) {
-            spec_error(line_no,
-                       "camo_density and camo_cells both size the "
-                       "camouflage budget; pick one");
-        }
-        if (is_circuit) {
-            // The plausibility attacker needs the viable-function targets,
-            // which only the S-box flow has.
-            for (const std::string& adv : s.params.adversaries) {
-                if (adv == "plausibility") {
-                    spec_error(line_no,
-                               "adversary \"" + adv +
-                                   "\" needs the viable-function set; "
-                                   "circuit scenarios support oracle-"
-                                   "granted adversaries (cegar, "
-                                   "random-sampling)");
-                }
-            }
-        }
-        // Reject contradictory counting keys instead of silently ignoring
-        // them (each key only applies to one CountMode, and none applies
-        // when counting is switched off entirely).
-        using attack::CountMode;
-        if (counting_disabled &&
-            (explicit_mode || has_eps_delta || has_cache_mb ||
-             has_max_survivors)) {
-            spec_error(line_no,
-                       "enum_survivors=0 skips survivor counting; it "
-                       "contradicts count_mode/epsilon/delta/"
-                       "count_cache_mb/max_survivors");
-        }
-        if (has_eps_delta && (!(s.params.oracle.epsilon > 0.0) ||
-                              !(s.params.oracle.delta > 0.0 &&
-                                s.params.oracle.delta < 1.0))) {
-            spec_error(line_no,
-                       "epsilon must be > 0 and delta in (0, 1)");
-        }
-        if (has_cache_mb && s.params.oracle.count_cache_mb <= 0) {
-            spec_error(line_no, "count_cache_mb must be > 0");
-        }
-        if (has_max_survivors) {
-            if (explicit_mode &&
-                s.params.oracle.count_mode != CountMode::kEnumerate) {
-                spec_error(line_no,
-                           "max_survivors only applies to "
-                           "count_mode=enumerate");
-            }
-            // Legacy specs cap enumeration without naming a mode.
-            s.params.oracle.count_mode = CountMode::kEnumerate;
-        }
-        if (has_eps_delta &&
-            (!explicit_mode ||
-             s.params.oracle.count_mode != CountMode::kApprox)) {
-            spec_error(line_no,
-                       "epsilon/delta require count_mode=approx");
-        }
-        if (has_cache_mb &&
-            s.params.oracle.count_mode != CountMode::kExact) {
-            spec_error(line_no,
-                       "count_cache_mb/count_max_decisions only apply to "
-                       "count_mode=exact");
-        }
-        // Replay serves recorded answers; fresh measurement noise on top
-        // would corrupt a transcript that already embeds the noise it was
-        // recorded under.  Usage error, matching the counting-key rule.
-        if (has_noise && !s.params.replay_transcript.empty()) {
-            spec_error(line_no,
-                       "replay_transcript replays recorded answers; it "
-                       "contradicts oracle_noise");
-        }
-        // A cache above a replaying transcript desynchronizes the replay
-        // cursor on duplicate patterns.
-        if (s.params.oracle_model.cache &&
-            !s.params.replay_transcript.empty()) {
-            spec_error(line_no, "replay_transcript contradicts oracle_cache");
-        }
-        // A transcript is one member's ordered view; racing N members over
-        // a replay is contradictory (the attack would silently fall back
-        // to the serial path anyway -- reject it loudly instead).
-        if (s.params.oracle.portfolio > 1 &&
-            !s.params.replay_transcript.empty()) {
-            spec_error(line_no, "replay_transcript contradicts portfolio");
-        }
-        // A proof certifies a fresh serial CEGAR run: replaying a
-        // transcript proves nothing new, and portfolio members interleave
-        // queries into a non-replayable sequence.
-        if (!s.params.emit_proof.empty()) {
-            if (!s.params.replay_transcript.empty()) {
-                spec_error(line_no, "emit_proof contradicts replay_transcript");
-            }
-            const int members =
-                s.params.oracle.portfolio > 0
-                    ? s.params.oracle.portfolio
-                    : std::max(1, s.params.oracle.attack_threads);
-            if (members > 1) {
-                spec_error(line_no,
-                           "emit_proof requires a serial CEGAR attack "
-                           "(set portfolio=1 or attack_threads=1)");
-            }
-        }
-        if (is_circuit) {
-            s.family = "circuit";
-            s.n = 0;
-        }
-        if (s.name.empty()) {
-            s.name = is_circuit
-                         ? file_stem(s.params.circuit.path) + "-s" +
-                               std::to_string(s.params.seed)
-                         : s.family + std::to_string(s.n) + "-s" +
-                               std::to_string(s.params.seed);
-        }
-        scenarios.push_back(std::move(s));
     }
     return scenarios;
 }

@@ -10,19 +10,26 @@
 // the machine-readable counterpart of the benches' CSV.
 //
 // Scenario specs are plain text so new workloads need zero C++ (consumed by
-// `mvf batch`, documented in the README):
+// `mvf batch` and `mvf serve`):
 //
 //   # one scenario per line; '#' starts a comment
 //   name=p4 funcs=present:4 seed=3 population=8 generations=4 attack=cegar
 //   funcs=des:2 seed=7 attack=cegar,plausibility camo=1 baseline=0
+//
+// The keys, their ranges and the rules between them are the scenario
+// schema (flow/scenario_schema.hpp); `mvf help` prints them.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/pipeline.hpp"
 #include "report/json.hpp"
 
 namespace mvf::flow {
+
+/// Scenario::family of circuit scenarios (FlowParams::circuit set).
+inline constexpr std::string_view kCircuitFamily = "circuit";
 
 /// One independent experiment: function set x params x seed.
 struct Scenario {
@@ -36,28 +43,10 @@ struct Scenario {
 /// on an unknown family or out-of-range width.
 std::vector<ViableFunction> scenario_functions(const Scenario& scenario);
 
-/// Parses the spec format above; throws std::invalid_argument with a line
-/// number on malformed input.  Recognized keys: name, funcs=family:n,
-/// circuit=PATH (file-based scenario: import a BLIF/AIGER/.bench circuit
-/// instead of merging viable functions; mutually exclusive with funcs and
-/// with the S-box-flow keys population/generations/baseline/verify/
-/// final_best) with camo_density ((0,1]), camo_cells (>= 1, excludes
-/// camo_density), camo_seed (0 = scenario seed) and
-/// camo_policy=random|fanout|depth, seed,
-/// population, generations, attack (comma-separated adversaries or "none"),
-/// baseline, camo, verify, final_best (0/1 flags),
-/// count_mode=exact|approx|enumerate, count_cache_mb (exact),
-/// epsilon/delta (approx), max_survivors (enumerate; implies it when no
-/// count_mode is named), enum_survivors, preprocess, shared_miter,
-/// canonical_inputs, and the oracle threat-model keys query_budget (> 0),
-/// oracle_noise ([0, 1)), oracle_cache, save_transcript/replay_transcript/
-/// emit_proof (file paths; emit_proof writes a verifiable
-/// audit::AttackProof for the CEGAR run), neighborhood_queries (bit-flip
-/// neighbors queried per distinguishing input), random_warmup,
-/// random_queries, metrics (0/1: per-attack latency histograms in the
-/// report).  Contradictory keys (e.g. epsilon with count_mode=enumerate,
-/// oracle_noise with replay_transcript, or emit_proof with a portfolio
-/// attack) are rejected, not ignored.
+/// Parses the spec format above through the scenario schema; throws
+/// std::invalid_argument with a line number on malformed input, unknown
+/// keys, out-of-range values and contradictory keys (rejected, not
+/// ignored).
 std::vector<Scenario> parse_scenario_spec(const std::string& text);
 
 /// parse_scenario_spec over a file's contents.

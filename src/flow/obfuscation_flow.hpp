@@ -97,17 +97,16 @@ struct FlowParams {
     /// in the panel, the last one's transcript wins.
     std::string save_transcript;
     /// Replay a transcript JSON recorded by save_transcript instead of
-    /// consulting the simulated chip (empty = off).  Contradicts
-    /// oracle_model.noise; harnesses reject that combination at parse
-    /// time.
+    /// consulting the simulated chip (empty = off).
     std::string replay_transcript;
     /// Emit a verifiable audit::AttackProof artifact for the CEGAR
     /// adversary's run to this JSON file (empty = off).  Implies
-    /// transcript recording and per-query commitments.  Contradicts
-    /// replay_transcript (a replay proves nothing new) and portfolio
-    /// attacks (members' queries interleave into a non-replayable
-    /// sequence); harnesses reject those combinations at parse time and
-    /// the attack stage guards them again at run time.
+    /// transcript recording and per-query commitments.
+    ///
+    /// The rules between these and other knobs (no proof of a replay or a
+    /// portfolio run, no noise on a replay, ...) are checked once, by
+    /// flow::validate_values (scenario_schema.hpp), at parse time and again
+    /// by the attack stage.
     std::string emit_proof;
     /// Patterns the random-sampling baseline adversary draws.
     int random_queries = 128;

@@ -9,6 +9,7 @@
 
 #include "audit/attack_proof.hpp"
 #include "camo/inject.hpp"
+#include "flow/scenario_schema.hpp"
 #include "flow/stage_io.hpp"
 #include "io/import.hpp"
 #include "obs/trace.hpp"
@@ -203,32 +204,9 @@ void AttackStage::run(FlowContext& ctx) {
     }
     const camo::CamoNetlist& netlist = *ctx.result.camouflaged;
 
-    if (!ctx.params.emit_proof.empty()) {
-        // Harnesses reject these combinations at parse time; API users get
-        // the same contract here.
-        if (!ctx.params.replay_transcript.empty()) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof cannot be combined with "
-                "replay_transcript -- a replayed run has no chip to commit "
-                "for");
-        }
-        const int members =
-            ctx.params.oracle.portfolio > 0
-                ? ctx.params.oracle.portfolio
-                : std::max(1, ctx.params.oracle.attack_threads);
-        if (members > 1) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof requires a serial CEGAR attack -- "
-                "portfolio members' queries interleave into a sequence no "
-                "transcript can replay");
-        }
-        if (std::find(adversaries_.begin(), adversaries_.end(), "cegar") ==
-            adversaries_.end()) {
-            throw std::invalid_argument(
-                "AttackStage: emit_proof requires the cegar adversary in "
-                "the panel");
-        }
-    }
+    // The spec and CLI surfaces run these rules at parse time; API users
+    // get the same contract before any adversary runs.
+    validate_values(ctx.params, adversaries_);
 
     attack::AdversaryOptions options;
     options.oracle = ctx.params.oracle;
@@ -269,11 +247,8 @@ void AttackStage::run(FlowContext& ctx) {
         if (adversary->knowledge() == attack::Knowledge::kViableSet &&
             options.viable_targets.empty()) {
             if (!ctx.best_spec) {
-                throw std::invalid_argument(
-                    "AttackStage: adversary \"" + name +
-                    "\" needs the viable-function set, which circuit "
-                    "scenarios do not have -- pick oracle-granted "
-                    "adversaries (e.g. cegar, random-sampling)");
+                throw std::logic_error("AttackStage: adversary \"" + name +
+                                       "\" needs SynthesizeStage's merged spec");
             }
             for (int code = 0; code < ctx.best_spec->num_functions(); ++code) {
                 options.viable_targets.push_back(

@@ -1,211 +1,53 @@
 #include "flow/spec_hash.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <optional>
 
-#include "attack/oracle_attack.hpp"
+#include "flow/scenario_schema.hpp"
 #include "util/hash.hpp"
-#include "util/sha256.hpp"
 
 namespace mvf::flow {
 
 namespace {
 
-const char* effort_name(synth::Effort e) {
-    switch (e) {
-        case synth::Effort::kFast: return "fast";
-        case synth::Effort::kDefault: return "default";
-        case synth::Effort::kHigh: return "high";
+/// Every knob of `phase` or earlier that applies to the scenario's kind.
+/// The seed is NOT here -- subsets are seed-free so the cache key can
+/// spell it out explicitly.
+report::Json subset_json(const Scenario& s, Phase upto) {
+    const bool circuit = !s.params.circuit.path.empty();
+    report::Json j = report::Json::object();
+    j.set("schema", kSpecSchemaVersion);
+    if (circuit) j.set("kind", std::string(kCircuitFamily));
+    for (const Knob& k : scenario_knobs()) {
+        if (k.hash == Hash::kSubset && k.phase <= upto && k.applies_to(circuit)) {
+            k.emit(s, j);
+        }
     }
-    return "unknown";
-}
-
-const char* build_style_name(BuildStyle s) {
-    return s == BuildStyle::kFactored ? "factored" : "shared-extract";
-}
-
-report::Json ga_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    j.set("population", s.params.ga.population);
-    j.set("generations", s.params.ga.generations);
-    j.set("crossover_prob", s.params.ga.crossover_prob);
-    j.set("mutation_prob", s.params.ga.mutation_prob);
-    j.set("tournament_size", s.params.ga.tournament_size);
-    j.set("elite", s.params.ga.elite);
     return j;
 }
 
-report::Json map_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    j.set("cut_max_leaves", s.params.map.cuts.max_leaves);
-    j.set("cut_max_cuts_per_node", s.params.map.cuts.max_cuts_per_node);
-    j.set("cut_include_trivial", s.params.map.cuts.include_trivial);
-    j.set("recovery_iterations", s.params.map.recovery_iterations);
-    return j;
-}
-
-report::Json camo_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    j.set("subtree_max_depth", s.params.camo.subtree.max_depth);
-    j.set("subtree_max_signal_leaves", s.params.camo.subtree.max_signal_leaves);
-    j.set("subtree_max_candidates", s.params.camo.subtree.max_candidates);
-    return j;
-}
-
-report::Json oracle_json(const Scenario& s) {
-    const attack::OracleAttackParams& o = s.params.oracle;
-    report::Json j = report::Json::object();
-    j.set("count_mode", std::string(attack::count_mode_name(o.count_mode)));
-    j.set("max_survivors", o.max_survivors);
-    j.set("count_cache_mb", o.count_cache_mb);
-    j.set("count_max_decisions", o.count_max_decisions);
-    j.set("epsilon", o.epsilon);
-    j.set("delta", o.delta);
-    j.set("count_seed", o.count_seed);
-    j.set("max_iterations", o.max_iterations);
-    j.set("enumerate_survivors", o.enumerate_survivors);
-    j.set("shared_miter", o.shared_miter);
-    j.set("canonical_inputs", o.canonical_inputs);
-    j.set("random_warmup", o.random_warmup);
-    j.set("neighborhood_queries", o.neighborhood_queries);
-    j.set("warmup_seed", o.warmup_seed);
-    j.set("collect_metrics", o.collect_metrics);
-    // Parallelism knobs are semantic (they select the portfolio/cube
-    // engines, whose transcripts and stats differ from serial runs); the
-    // runtime pool pointer is deliberately NOT hashed.
-    j.set("attack_threads", o.attack_threads);
-    j.set("portfolio", o.portfolio);
-    j.set("cube_vars", o.cube_vars);
-    report::Json solver = report::Json::object();
-    solver.set("preprocess", o.solver.preprocess);
-    solver.set("elim_occ_limit", o.solver.elim_occ_limit);
-    solver.set("elim_growth", o.solver.elim_growth);
-    solver.set("elim_resolvent_limit", o.solver.elim_resolvent_limit);
-    solver.set("max_rounds", o.solver.max_rounds);
-    solver.set("inprocess_growth", o.solver.inprocess_growth);
-    j.set("solver", std::move(solver));
-    return j;
-}
-
-report::Json oracle_model_json(const Scenario& s) {
-    const attack::OracleModelParams& m = s.params.oracle_model;
-    report::Json j = report::Json::object();
-    j.set("query_budget", m.query_budget);
-    j.set("noise", m.noise);
-    j.set("noise_seed", m.noise_seed);
-    j.set("cache", m.cache);
-    return j;
-}
-
-report::Json attack_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    report::Json adversaries = report::Json::array();
-    for (const std::string& a : s.params.adversaries) adversaries.push_back(a);
-    j.set("adversaries", std::move(adversaries));
-    j.set("run_oracle_attack", s.params.run_oracle_attack);
-    j.set("random_queries", s.params.random_queries);
-    j.set("replay_transcript", s.params.replay_transcript);
-    j.set("oracle", oracle_json(s));
-    j.set("oracle_model", oracle_model_json(s));
-    return j;
-}
-
-/// Shared base of every subset: the experiment identity plus what the
-/// pin-search stage consumes (GA knobs, fitness synthesis/mapping, the
-/// equal-budget random baseline).  The seed is NOT here -- subsets are
-/// seed-free so the cache key can spell it out explicitly.
-report::Json pin_search_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    j.set("schema", kSpecSchemaVersion);
-    j.set("family", s.family);
-    j.set("n", s.n);
-    j.set("ga", ga_json(s));
-    j.set("fitness_effort", effort_name(s.params.fitness_effort));
-    j.set("fitness_build", build_style_name(s.params.fitness_build));
-    j.set("map", map_json(s));
-    j.set("random_count", s.params.random_count);
-    j.set("run_random_baseline", s.params.run_random_baseline);
-    return j;
-}
-
-report::Json synthesize_json(const Scenario& s) {
-    report::Json j = pin_search_json(s);
-    j.set("final_effort", effort_name(s.params.final_effort));
-    j.set("final_best_of_builds", s.params.final_best_of_builds);
-    return j;
-}
-
-report::Json camo_cover_json(const Scenario& s) {
-    report::Json j = synthesize_json(s);
-    j.set("camo", camo_json(s));
-    return j;
-}
-
-/// Everything semantic: what the attack stage (and with it the complete
-/// scenario outcome) depends on.
-report::Json sbox_full_json(const Scenario& s) {
-    report::Json j = camo_cover_json(s);
-    j.set("run_camo_mapping", s.params.run_camo_mapping);
-    j.set("verify", s.params.verify);
-    j.set("attack", attack_json(s));
-    return j;
-}
-
-/// SHA-256 of the file's bytes, or "unreadable" when it cannot be opened.
-/// Never throws: spec hashes are stamped into records before the pipeline
-/// runs, so a missing circuit file must surface as the import stage's
-/// ParseError, not here.
-std::string file_fingerprint(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return "unreadable";
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return util::sha256_hex(bytes.str());
-}
-
-/// Circuit-scenario subset chain.  The import stage depends on the file's
-/// CONTENTS, not just its path -- editing the circuit on disk must miss in
-/// serve::StageCache rather than warm-hit a stale snapshot.
-report::Json import_json(const Scenario& s) {
-    report::Json j = report::Json::object();
-    j.set("schema", kSpecSchemaVersion);
-    j.set("kind", "circuit");
-    j.set("circuit", s.params.circuit.path);
-    j.set("circuit_sha256", file_fingerprint(s.params.circuit.path));
-    j.set("map", map_json(s));
-    return j;
-}
-
-report::Json inject_json(const Scenario& s) {
-    report::Json j = import_json(s);
-    j.set("camo_density", s.params.circuit.camo_density);
-    j.set("camo_cells", s.params.circuit.camo_cells);
-    j.set("camo_seed", s.params.circuit.camo_seed);
-    j.set("camo_policy", s.params.circuit.camo_policy);
-    return j;
-}
-
-report::Json circuit_full_json(const Scenario& s) {
-    report::Json j = inject_json(s);
-    j.set("run_camo_mapping", s.params.run_camo_mapping);
-    j.set("attack", attack_json(s));
-    return j;
-}
-
-report::Json full_json(const Scenario& s) {
-    return s.params.circuit.path.empty() ? sbox_full_json(s)
-                                         : circuit_full_json(s);
-}
-
-std::string subset_hash(const report::Json& subset) {
-    return util::fnv1a64_hex(report::canonicalized(subset).dump());
+/// The phase whose subset keys `stage`; nullopt for stages that are not
+/// cached (custom stages opt in by name, not by default).
+std::optional<Phase> stage_phase(std::string_view stage, bool circuit) {
+    if (stage == "attack") return Phase::kAttack;
+    if (circuit) {
+        if (stage == "import") return Phase::kSearch;
+        if (stage == "camo-inject") return Phase::kSynth;
+        return std::nullopt;
+    }
+    if (stage == "pin-search") return Phase::kSearch;
+    if (stage == "synthesize") return Phase::kSynth;
+    // Validation has no knobs of its own beyond the covered netlist.
+    if (stage == "camo-cover" || stage == "validate") return Phase::kCover;
+    return std::nullopt;
 }
 
 }  // namespace
 
 report::Json canonical_spec_json(const Scenario& scenario) {
-    report::Json j = full_json(scenario);
-    j.set("seed", scenario.params.seed);
+    report::Json j = subset_json(scenario, Phase::kAttack);
+    for (const Knob& k : scenario_knobs()) {
+        if (k.hash == Hash::kSeed) k.emit(scenario, j);
+    }
     return report::canonicalized(j);
 }
 
@@ -214,44 +56,15 @@ std::string spec_hash(const Scenario& scenario) {
 }
 
 std::string stage_cache_key(const Scenario& scenario, std::string_view stage) {
-    // Transcript record/replay and proof emission tie the scenario to
-    // files the cache cannot fingerprint (and recording/committing are
-    // side effects a cache hit would skip): such scenarios always run
-    // fresh.
-    if (!scenario.params.save_transcript.empty() ||
-        !scenario.params.replay_transcript.empty() ||
-        !scenario.params.emit_proof.empty()) {
-        return "";
+    for (const Knob& k : scenario_knobs()) {
+        if (k.uncacheable && k.is_set(scenario)) return "";
     }
-    std::string subset;
-    if (!scenario.params.circuit.path.empty()) {
-        if (stage == "import") {
-            subset = subset_hash(import_json(scenario));
-        } else if (stage == "camo-inject") {
-            subset = subset_hash(inject_json(scenario));
-        } else if (stage == "attack") {
-            subset = subset_hash(circuit_full_json(scenario));
-        } else {
-            return "";
-        }
-        return subset + ":s" + std::to_string(scenario.params.seed) + ":" +
-               std::string(stage);
-    }
-    if (stage == "pin-search") {
-        subset = subset_hash(pin_search_json(scenario));
-    } else if (stage == "synthesize") {
-        subset = subset_hash(synthesize_json(scenario));
-    } else if (stage == "camo-cover") {
-        subset = subset_hash(camo_cover_json(scenario));
-    } else if (stage == "validate") {
-        // Validation has no knobs of its own beyond the covered netlist.
-        subset = subset_hash(camo_cover_json(scenario));
-    } else if (stage == "attack") {
-        subset = subset_hash(full_json(scenario));
-    } else {
-        return "";  // custom stages opt into caching by name, not by default
-    }
-    return subset + ":s" + std::to_string(scenario.params.seed) + ":" +
+    const std::optional<Phase> phase =
+        stage_phase(stage, !scenario.params.circuit.path.empty());
+    if (!phase) return "";
+    return util::fnv1a64_hex(
+               report::canonicalized(subset_json(scenario, *phase)).dump()) +
+           ":s" + std::to_string(scenario.params.seed) + ":" +
            std::string(stage);
 }
 

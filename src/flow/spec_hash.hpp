@@ -19,11 +19,15 @@
 //     sweep with only attack knobs changed re-uses the synthesized and
 //     camouflaged netlists and re-runs just the attack.
 //
-// Deliberately EXCLUDED from the canonical form: the scenario `name`
-// (cosmetic), `save_transcript` and `oracle_model.record` (observational
-// side effects that do not alter results), and `ga.seed` (dead: the
-// pipeline overrides it with the scenario seed).  `replay_transcript` IS
-// included -- replaying changes results -- but a scenario naming transcript
+// What is hashed, and into which stage subsets, is declared per knob by
+// the scenario schema (flow/scenario_schema.hpp): its phase picks the
+// first stage whose key covers it, and both functions here only walk that
+// table.  Excluded from the canonical form: the scenario `name`
+// (cosmetic), `save_transcript` and `emit_proof` (side effects that do not
+// alter results), and the runtime plumbing that is no knob at all
+// (`oracle_model.record`, thread pools, and `ga.seed`, which the pipeline
+// overrides with the scenario seed).  `replay_transcript` IS included --
+// replaying changes results -- but a scenario naming transcript or proof
 // files is never stage-cached (the cache cannot see the file contents).
 //
 // Circuit scenarios (`circuit=PATH`) hash the referenced file's CONTENTS

@@ -305,6 +305,25 @@ TEST(Server, CancelAndBadRequestsLeaveServerServiceable) {
     ASSERT_TRUE(fresh.ok) << fresh.error;
 }
 
+TEST(Server, SubmitNamingAnUnknownAdversaryIsRejectedUpFront) {
+    // The panel is checked when the spec is parsed, so the submit fails
+    // with the spec error instead of queueing a job that would run the
+    // whole flow before its attack stage fails.
+    ServerParams params;
+    params.listen = temp_unix_addr("mvf_serve_reject.sock");
+    params.workers = 1;
+    RunningServer running(std::move(params));
+    const Client client(running.server.bound_addr());
+    const ClientResult rejected = client.submit(
+        "funcs=present:2 population=8 generations=3 attack=cegar,bogus\n",
+        /*wait=*/true, /*stream=*/false);
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_TRUE(rejected.job.empty());
+    EXPECT_NE(rejected.error.find("line 1: attack: unknown adversary \"bogus\""),
+              std::string::npos)
+        << rejected.error;
+}
+
 TEST(Server, ShutdownOpStopsTheAcceptLoop) {
     ServerParams params;
     params.listen = temp_unix_addr("mvf_serve_shutdown.sock");
