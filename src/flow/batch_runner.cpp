@@ -146,7 +146,8 @@ std::vector<Scenario> parse_scenario_spec(const std::string& text) {
     int line_no = 0;
     while (std::getline(in, raw)) {
         ++line_no;
-        raw.resize(std::min(raw.find('#'), raw.size()));
+        const std::size_t hash = raw.find('#');
+        if (hash != std::string::npos) raw.resize(hash);
         std::istringstream tokens(raw);
         std::string token;
         ScenarioBuilder builder(Surface::kSpec);

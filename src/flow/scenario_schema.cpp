@@ -48,6 +48,8 @@ void set_path(Json& root, std::string_view path, Json value) {
 template <class T>
 using Ref = T& (*)(Scenario&);
 
+/// The accessor of Scenario field `member`; the unary plus turns the
+/// lambda into a Ref<T>, so templates such as api() deduce T from it.
 #define FIELD(member) +[](Scenario& s) -> auto& { return s.member; }
 
 /// Reads a field through its accessor; never writes.
@@ -109,22 +111,19 @@ struct Range {
     bool contains(double v) const {
         return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
     }
-    std::string text(bool integral) const {
+    std::string text() const {
         if (std::isinf(hi)) return (lo_open ? "> " : ">= ") + to_text(lo);
-        if (integral) return "in " + to_text(lo) + ".." + to_text(hi);
         return std::string("in ") + (lo_open ? "(" : "[") + to_text(lo) + ", " +
                to_text(hi) + (hi_open ? ")" : "]");
     }
 };
-
-Range at_least(double lo) { return {.lo = lo}; }
 
 template <class T>
 Knob num(Knob k, Ref<T> ref, Range range = {}) {
     return field(std::move(k), ref, [range](std::string_view text, const std::string& sp) {
         const T v = parse_number<T>(text, sp);
         if (!range.contains(static_cast<double>(v))) {
-            fail(sp + " must be " + range.text(std::is_integral_v<T>));
+            fail(sp + " must be " + range.text());
         }
         return v;
     });
@@ -250,11 +249,11 @@ void add_search_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "population", .alias = "pop", .flag = "--population",
                           .value_name = "P", .path = "ga.population", .phase = p,
                           .applies = sbox, .help = "GA population"},
-                         FIELD(params.ga.population), at_least(1)));
+                         FIELD(params.ga.population), {.lo = 1}));
     t.push_back(num<int>({.key = "generations", .alias = "gens", .flag = "--generations",
                           .value_name = "G", .path = "ga.generations", .phase = p,
                           .applies = sbox, .help = "GA generations"},
-                         FIELD(params.ga.generations), at_least(0)));
+                         FIELD(params.ga.generations), {.lo = 0}));
     t.push_back(api("ga.crossover_prob", p, sbox, FIELD(params.ga.crossover_prob)));
     t.push_back(api("ga.mutation_prob", p, sbox, FIELD(params.ga.mutation_prob)));
     t.push_back(api("ga.tournament_size", p, sbox, FIELD(params.ga.tournament_size)));
@@ -290,7 +289,7 @@ void add_synth_cover_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "camo_cells", .flag = "--camo-cells", .value_name = "N",
                           .path = "camo_cells", .phase = p, .applies = circuit,
                           .help = "camouflage exactly N cells instead"},
-                         FIELD(params.circuit.camo_cells), at_least(1)));
+                         FIELD(params.circuit.camo_cells), {.lo = 1}));
     t.push_back(num<std::uint64_t>({.key = "camo_seed", .flag = "--camo-seed", .value_name = "S",
                                     .path = "camo_seed", .phase = p, .applies = circuit,
                                     .help = "cell-selection seed (0 = the scenario seed)"},
@@ -358,7 +357,7 @@ void add_attack_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "random_queries", .flag = "--random-queries", .value_name = "N",
                           .path = "attack.random_queries",
                           .help = "patterns the random-sampling adversary draws"},
-                         FIELD(params.random_queries), at_least(1)));
+                         FIELD(params.random_queries), {.lo = 1}));
     // Replaying changes results, so the path is hashed; the cache cannot
     // see the file's contents, so the scenario is never stage-cached.
     // Recording and committing are side effects a cache hit would skip.
@@ -396,7 +395,7 @@ void add_oracle_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "count_cache_mb", .flag = "--count-cache-mb", .value_name = "N",
                           .path = "attack.oracle.count_cache_mb",
                           .help = "exact: component-cache budget in MB"},
-                         FIELD(params.oracle.count_cache_mb), at_least(1)));
+                         FIELD(params.oracle.count_cache_mb), {.lo = 1}));
     t.push_back(num<std::uint64_t>({.key = "count_max_decisions", .flag = "--count-max-decisions",
                                     .value_name = "N", .path = "attack.oracle.count_max_decisions",
                                     .help = "exact: branch budget before the fallback, 0 = off"},
@@ -425,11 +424,11 @@ void add_oracle_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "random_warmup", .flag = "--random-warmup", .value_name = "N",
                           .path = "attack.oracle.random_warmup",
                           .help = "random patterns queried before the loop"},
-                         FIELD(params.oracle.random_warmup), at_least(0)));
+                         FIELD(params.oracle.random_warmup), {.lo = 0}));
     t.push_back(num<int>({.key = "neighborhood_queries", .flag = "--neighborhood-queries",
                           .value_name = "N", .path = "attack.oracle.neighborhood_queries",
                           .help = "bit-flip neighbors queried per input"},
-                         FIELD(params.oracle.neighborhood_queries), at_least(0)));
+                         FIELD(params.oracle.neighborhood_queries), {.lo = 0}));
     t.push_back(api("attack.oracle.warmup_seed", a, both, FIELD(params.oracle.warmup_seed)));
     // `--metrics` is the process-wide metrics registry: no CLI spelling.
     t.push_back(flag({.key = "metrics", .path = "attack.oracle.collect_metrics",
@@ -440,11 +439,11 @@ void add_oracle_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "attack_threads", .flag = "--attack-threads", .value_name = "N",
                           .path = "attack.oracle.attack_threads",
                           .help = "portfolio and cube-counting threads"},
-                         FIELD(params.oracle.attack_threads), at_least(1)));
+                         FIELD(params.oracle.attack_threads), {.lo = 1}));
     t.push_back(num<int>({.key = "portfolio", .flag = "--portfolio", .value_name = "N",
                           .path = "attack.oracle.portfolio",
                           .help = "CEGAR members (0 = one per thread)"},
-                         FIELD(params.oracle.portfolio), at_least(0)));
+                         FIELD(params.oracle.portfolio), {.lo = 0}));
     t.push_back(num<int>({.key = "cube_vars", .flag = "--cube-vars", .value_name = "K",
                           .path = "attack.oracle.cube_vars",
                           .help = "counter selector-cube width (0 = auto)"},
@@ -456,11 +455,11 @@ void add_oracle_knobs(std::vector<Knob>& t) {
     t.push_back(num<int>({.key = "elim_occ", .flag = "--elim-occ", .value_name = "N",
                           .path = "attack.oracle.solver.elim_occ_limit",
                           .help = "BVE occurrence bound"},
-                         FIELD(params.oracle.solver.elim_occ_limit), at_least(0)));
+                         FIELD(params.oracle.solver.elim_occ_limit), {.lo = 0}));
     t.push_back(num<int>({.key = "elim_growth", .flag = "--elim-growth", .value_name = "N",
                           .path = "attack.oracle.solver.elim_growth",
                           .help = "BVE clause-growth bound"},
-                         FIELD(params.oracle.solver.elim_growth), at_least(0)));
+                         FIELD(params.oracle.solver.elim_growth), {.lo = 0}));
     t.push_back(api("attack.oracle.solver.elim_resolvent_limit", a, both,
                     FIELD(params.oracle.solver.elim_resolvent_limit)));
     t.push_back(api("attack.oracle.solver.max_rounds", a, both,
@@ -470,7 +469,7 @@ void add_oracle_knobs(std::vector<Knob>& t) {
     t.push_back(num<std::uint64_t>({.key = "query_budget", .flag = "--query-budget",
                                     .value_name = "N", .path = "attack.oracle_model.query_budget",
                                     .help = "patterns the chip answers (unset = no limit)"},
-                                   FIELD(params.oracle_model.query_budget), at_least(1)));
+                                   FIELD(params.oracle_model.query_budget), {.lo = 1}));
     t.push_back(num<double>({.key = "oracle_noise", .flag = "--oracle-noise", .value_name = "P",
                              .path = "attack.oracle_model.noise",
                              .help = "per-bit answer flip probability"},
@@ -632,11 +631,10 @@ void validate_scenario(const Scenario& s, const std::set<std::string_view>& give
         fail(sp("circuit") + " and " + sp("funcs") + " name two different subjects; pick one");
     }
     for (const std::string_view key : given) {
-        const std::string k = sp(key);
         if (knob(key).applies_to(circuit)) continue;
-        fail(circuit ? k + " steers the S-box synthesis flow, which circuit scenarios skip"
-                     : k + " requires " + sp("circuit") +
-                           " (the S-box flow camouflages via Phase III covering)");
+        fail(sp(key) + (circuit ? " steers the S-box synthesis flow, which circuit scenarios skip"
+                                : " requires " + sp("circuit") +
+                                      " (the S-box flow camouflages via Phase III covering)"));
     }
     if (has("camo_density") && has("camo_cells")) {
         fail(sp("camo_density") + " and " + sp("camo_cells") +
@@ -687,14 +685,15 @@ void validate_values(const FlowParams& p, const std::vector<std::string>& panel,
     const auto sp = [surface](std::string_view key) { return knob(key).spelling(surface); };
     const attack::AdversaryRegistry& registry = attack::AdversaryRegistry::instance();
     for (const std::string& name : panel) {
-        if (!registry.contains(name)) {
-            std::string known;
-            for (const std::string& n : registry.names()) append(known, n, ", ");
-            fail(sp("attack") + ": unknown adversary \"" + name + "\" (registered: " + known + ")");
+        // Factories only need options at attack time; an unknown name
+        // throws, listing the registered ones.
+        std::unique_ptr<attack::Adversary> adversary;
+        try {
+            adversary = registry.create(name, {});
+        } catch (const std::invalid_argument& e) {
+            fail(sp("attack") + ": " + e.what());
         }
-        // Factories only need options at attack time.
-        if (!p.circuit.path.empty() &&
-            registry.create(name, {})->knowledge() == attack::Knowledge::kViableSet) {
+        if (!p.circuit.path.empty() && adversary->knowledge() == attack::Knowledge::kViableSet) {
             fail("adversary \"" + name + "\" needs the viable-function set; circuit scenarios "
                  "support oracle-granted adversaries (e.g. cegar, random-sampling)");
         }
