@@ -331,9 +331,10 @@ AdversaryReport RandomSamplingAdversary::attack(
     std::vector<std::vector<bool>> answers;
 
     util::Rng rng(seed_);
-    try {
-        if (oracle->scripted_pattern() != nullptr) {
-            // Transcript replay: re-issue the recorded sequence one by one.
+    bool answered_all = true;
+    if (oracle->scripted_pattern() != nullptr) {
+        // Transcript replay: re-issue the recorded sequence one by one.
+        try {
             const std::vector<bool>* scripted = nullptr;
             while (static_cast<int>(inputs.size()) < num_queries_ &&
                    (scripted = oracle->scripted_pattern()) != nullptr) {
@@ -341,35 +342,18 @@ AdversaryReport RandomSamplingAdversary::attack(
                 answers.push_back(oracle->query(in));
                 inputs.push_back(std::move(in));
             }
-        } else {
-            int remaining = num_queries_;
-            while (remaining > 0) {
-                const int count = std::min(remaining, kQueryBlockWidth);
-                std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-                for (std::uint64_t& w : words) w = rng.next_u64();
-                try {
-                    const std::vector<std::uint64_t> po_words =
-                        oracle->query_block(words, count);
-                    for (int k = 0; k < count; ++k) {
-                        inputs.push_back(unpack_lane(words, k));
-                        answers.push_back(unpack_lane(po_words, k));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    // Blocks are all-or-nothing; drain the remaining budget
-                    // with scalar queries over the same pattern sequence so
-                    // the whole allowance is spent before giving up.
-                    for (int k = 0; k < count; ++k) {
-                        std::vector<bool> in = unpack_lane(words, k);
-                        answers.push_back(oracle->query(in));
-                        inputs.push_back(std::move(in));
-                    }
-                }
-                remaining -= count;
-            }
+        } catch (const OracleBudgetExceeded&) {
+            answered_all = false;
         }
-    } catch (const OracleBudgetExceeded&) {
-        result.status = OracleAttackResult::Status::kQueryBudget;
+    } else {
+        answered_all = query_random_patterns(
+            *oracle, rng, m, num_queries_,
+            [&](std::vector<bool> in, std::vector<bool> out) {
+                inputs.push_back(std::move(in));
+                answers.push_back(std::move(out));
+            });
     }
+    if (!answered_all) result.status = OracleAttackResult::Status::kQueryBudget;
     result.queries = static_cast<int>(inputs.size());
 
     const bool budget_tripped =

@@ -1,5 +1,6 @@
 #include "attack/oracle.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -53,6 +54,45 @@ std::vector<std::uint64_t> Oracle::query_block(
         fold_lane(query(unpack_lane(inputs, k)), k, &out);
     }
     return out;
+}
+
+bool query_block_draining(Oracle& oracle,
+                          const std::vector<std::uint64_t>& words, int count,
+                          const AnswerSink& take) {
+    std::vector<std::uint64_t> po_words;
+    try {
+        po_words = oracle.query_block(words, count);
+    } catch (const OracleBudgetExceeded&) {
+        try {
+            for (int k = 0; k < count; ++k) {
+                std::vector<bool> in = unpack_lane(words, k);
+                std::vector<bool> out = oracle.query(in);
+                take(std::move(in), std::move(out));
+            }
+        } catch (const OracleBudgetExceeded&) {
+            return false;
+        }
+        return true;
+    }
+    for (int k = 0; k < count; ++k) {
+        take(unpack_lane(words, k), unpack_lane(po_words, k));
+    }
+    return true;
+}
+
+bool query_random_patterns(Oracle& oracle, util::Rng& rng, int width,
+                           int patterns, const AnswerSink& take) {
+    for (int remaining = patterns; remaining > 0;
+         remaining -= kQueryBlockWidth) {
+        std::vector<std::uint64_t> words(static_cast<std::size_t>(width));
+        for (std::uint64_t& w : words) w = rng.next_u64();
+        if (!query_block_draining(oracle, words,
+                                  std::min(remaining, kQueryBlockWidth),
+                                  take)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 // ------------------------------------------------------------- SimOracle --

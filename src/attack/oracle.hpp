@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -117,6 +118,26 @@ public:
         return nullptr;
     }
 };
+
+/// Receives one answered (input pattern, output pattern) pair.
+using AnswerSink =
+    std::function<void(std::vector<bool> inputs, std::vector<bool> outputs)>;
+
+/// The block-query idiom of every attack: answers lanes 0..count-1 of
+/// `words` as ONE query_block and hands each pair to `take` in lane order.
+/// Blocks are all-or-nothing, so when the budget refuses the whole block
+/// the same patterns are drained with scalar queries: the allowance is
+/// spent in full before the attack gives up.  Returns false once the budget
+/// has tripped (`take` has then seen every pattern that was answered).
+bool query_block_draining(Oracle& oracle,
+                          const std::vector<std::uint64_t>& words, int count,
+                          const AnswerSink& take);
+
+/// Answers `patterns` random width-`width` patterns drawn from `rng` (one
+/// word per input per block), in blocks of up to kQueryBlockWidth through
+/// query_block_draining.  Returns false once the budget has tripped.
+bool query_random_patterns(Oracle& oracle, util::Rng& rng, int width,
+                           int patterns, const AnswerSink& take);
 
 /// Oracle backed by simulating a camouflaged netlist under a hidden
 /// configuration (per-node plausible indices, -1 for non-cells).  Both the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <mutex>
 
@@ -78,37 +79,6 @@ void add_io_constraint(sat::Solver* solver, sat::CnfBuilder* builder,
                        const std::vector<bool>& inputs,
                        const std::vector<bool>& outputs, bool fold) {
     pin_outputs(solver, builder->add_copy(inputs, fold), outputs);
-}
-
-/// Replaces the model's distinguishing input with the lexicographically
-/// smallest one admitted by the current constraints (PI 0 is the most
-/// significant position).  Walks the bits in order, keeping the latest
-/// model as a witness: a witness 0 needs no solver call, a witness 1 costs
-/// one incremental solve to test whether 0 is feasible under the fixed
-/// prefix.  `assumptions` carries any standing activation literals and is
-/// extended in place with the prefix.
-void canonicalize_pattern(sat::Solver* solver,
-                          const std::vector<sat::Lit>& shared_x,
-                          std::vector<sat::Lit>* assumptions,
-                          std::vector<bool>* pattern) {
-    const int m = static_cast<int>(shared_x.size());
-    for (int i = 0; i < m; ++i) {
-        const sat::Lit xi = shared_x[static_cast<std::size_t>(i)];
-        if (!(*pattern)[static_cast<std::size_t>(i)]) {
-            assumptions->push_back(sat::lit_not(xi));
-            continue;
-        }
-        assumptions->push_back(sat::lit_not(xi));
-        if (solver->solve(*assumptions) == sat::Solver::Result::kSat) {
-            (*pattern)[static_cast<std::size_t>(i)] = false;
-            for (int j = i + 1; j < m; ++j) {
-                (*pattern)[static_cast<std::size_t>(j)] = solver->model_value(
-                    sat::lit_var(shared_x[static_cast<std::size_t>(j)]));
-            }
-        } else {
-            assumptions->back() = xi;  // 0 infeasible under this prefix
-        }
-    }
 }
 
 /// Legacy survivor counting (CountMode::kEnumerate): SAT model enumeration
@@ -281,6 +251,171 @@ void count_consistent_configs(const CamoNetlist& netlist,
 namespace {
 
 // ---------------------------------------------------------------------------
+// The CEGAR miter, built the same way by the serial attack and by every
+// portfolio member.
+// ---------------------------------------------------------------------------
+
+/// Two selector families in one incremental solver, mitered over shared
+/// symbolic inputs: a model is (config A, config B, input X) with A and B
+/// disagreeing at X while both satisfy every stamped I/O pair.  One
+/// constructor for every caller means equal stamp counts give identical
+/// variable ids -- what the portfolio's clause exchange and the replay of a
+/// winner's transcript rest on.  A portfolio member differs only in its
+/// phase seed and clause exchange, both set on solver() after construction.
+class Miter {
+public:
+    Miter(const CamoNetlist& netlist, const OracleAttackParams& params)
+        : params_(params),
+          family_a_(netlist, &solver_, params.fixed_nominal),
+          family_b_(netlist, &solver_, params.fixed_nominal) {
+        const int m = netlist.num_pis();
+        shared_x_.reserve(static_cast<std::size_t>(m));
+        for (int i = 0; i < m; ++i) {
+            shared_x_.push_back(sat::mk_lit(solver_.new_var()));
+        }
+        sat::CnfBuilder::Copy miter_a, miter_b;
+        if (params.shared_miter) {
+            sat::CnfBuilder::SharedCopy sc =
+                sat::CnfBuilder::add_shared_copies(family_a_, family_b_, shared_x_);
+            shared_cells_ += static_cast<std::uint64_t>(sc.shared_cells);
+            miter_a = std::move(sc.a);
+            miter_b = std::move(sc.b);
+        } else {
+            miter_a = family_a_.add_copy(shared_x_);
+            miter_b = family_b_.add_copy(shared_x_);
+        }
+        // diff_q -> (a_q != b_q); at least one diff_q holds.  One direction
+        // of the XOR suffices: any model must exhibit a real output
+        // difference.
+        std::vector<sat::Lit> any_diff;
+        any_diff.reserve(static_cast<std::size_t>(netlist.num_pos()));
+        for (int q = 0; q < netlist.num_pos(); ++q) {
+            const sat::Lit d = sat::mk_lit(solver_.new_var());
+            const sat::Lit a = miter_a.po[static_cast<std::size_t>(q)];
+            const sat::Lit b = miter_b.po[static_cast<std::size_t>(q)];
+            solver_.add_ternary(sat::lit_not(d), a, b);
+            solver_.add_ternary(sat::lit_not(d), sat::lit_not(a), sat::lit_not(b));
+            any_diff.push_back(d);
+        }
+        solver_.add_clause(any_diff);
+        // Preprocess the miter core once (BVE + subsumption +
+        // strengthening); inprocess() keeps it lean as patterns accumulate.
+        if (params.solver.preprocess) {
+            preprocessor().run();
+            preprocessed_size_ = solver_.num_clauses();
+        }
+    }
+
+    sat::Solver& solver() { return solver_; }
+    /// Cells encoded once instead of twice, over the miter and every stamp.
+    std::uint64_t shared_cells() const { return shared_cells_; }
+
+    /// Stamps one I/O pair as constraints into BOTH families.
+    void constrain_both(const std::vector<bool>& in,
+                        const std::vector<bool>& out) {
+        if (params_.shared_miter) {
+            sat::CnfBuilder::SharedCopy sc =
+                sat::CnfBuilder::add_shared_copies(family_a_, family_b_, in);
+            shared_cells_ += static_cast<std::uint64_t>(sc.shared_cells);
+            pin_outputs(&solver_, sc.a, out);
+            pin_outputs(&solver_, sc.b, out);
+        } else {
+            add_io_constraint(&solver_, &family_a_, in, out, false);
+            add_io_constraint(&solver_, &family_b_, in, out, false);
+        }
+    }
+
+    /// Runs the light sweep whenever the database has outgrown the last
+    /// simplified size: the per-pattern copies get pinned down by level-0
+    /// propagation, and physically removing the satisfied clauses keeps
+    /// watch lists short without disturbing the learned database.
+    void inprocess() {
+        if (params_.solver.preprocess && params_.solver.inprocess_growth > 1.0 &&
+            static_cast<double>(solver_.num_clauses()) >
+                params_.solver.inprocess_growth *
+                    static_cast<double>(preprocessed_size_)) {
+            preprocessor().run_light();
+            preprocessed_size_ = solver_.num_clauses();
+        }
+    }
+
+    /// The last model's distinguishing input.  With canonical_inputs it is
+    /// replaced by the lexicographically smallest one the current
+    /// constraints admit (PI 0 is the most significant position): the bits
+    /// are walked in order keeping the latest model as a witness, so a
+    /// witness 0 needs no solver call and a witness 1 costs one incremental
+    /// solve testing whether 0 is feasible under the fixed prefix.
+    void distinguishing_input(std::vector<bool>* pattern) {
+        const std::size_t m = shared_x_.size();
+        for (std::size_t i = 0; i < m; ++i) {
+            (*pattern)[i] = solver_.model_value(sat::lit_var(shared_x_[i]));
+        }
+        if (!params_.canonical_inputs) return;
+        assumptions_.clear();
+        for (std::size_t i = 0; i < m; ++i) {
+            assumptions_.push_back(sat::lit_not(shared_x_[i]));
+            if (!(*pattern)[i]) continue;
+            if (solver_.solve(assumptions_) == sat::Solver::Result::kSat) {
+                (*pattern)[i] = false;
+                for (std::size_t j = i + 1; j < m; ++j) {
+                    (*pattern)[j] = solver_.model_value(sat::lit_var(shared_x_[j]));
+                }
+            } else {
+                assumptions_.back() = shared_x_[i];  // 0 infeasible here
+            }
+        }
+    }
+
+private:
+    /// Both families' selectors and constants stay frozen (later stamps
+    /// reference them), and so do the shared inputs (models are read off
+    /// them).
+    sat::Preprocessor preprocessor() {
+        sat::Preprocessor pre(&solver_, params_.solver);
+        const std::vector<sat::Var> fa = family_a_.frozen_vars();
+        const std::vector<sat::Var> fb = family_b_.frozen_vars();
+        pre.freeze_all(fa);
+        pre.freeze_all(fb);
+        pre.freeze_lits(shared_x_);
+        return pre;
+    }
+
+    const OracleAttackParams& params_;
+    sat::Solver solver_;
+    sat::CnfBuilder family_a_;
+    sat::CnfBuilder family_b_;
+    std::vector<sat::Lit> shared_x_;
+    std::vector<sat::Lit> assumptions_;  ///< canonicalization prefix
+    std::uint64_t shared_cells_ = 0;
+    std::size_t preprocessed_size_ = 0;
+};
+
+/// Feeds the latency of every answered query and block to `observe` (a
+/// budget trip propagates before anything is observed).
+class TimedOracle final : public OracleDecorator {
+public:
+    TimedOracle(Oracle& inner, std::function<void(double)> observe)
+        : OracleDecorator(inner), observe_(std::move(observe)) {}
+
+    std::vector<bool> query(const std::vector<bool>& inputs) override {
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<bool> out = inner_->query(inputs);
+        observe_(us_since(t0));
+        return out;
+    }
+    std::vector<std::uint64_t> query_block(
+        const std::vector<std::uint64_t>& inputs, int count) override {
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<std::uint64_t> out = inner_->query_block(inputs, count);
+        observe_(us_since(t0));
+        return out;
+    }
+
+private:
+    std::function<void(double)> observe_;
+};
+
+// ---------------------------------------------------------------------------
 // Portfolio CEGAR (attack_threads / portfolio > 1).
 //
 // N members race the CEGAR loop on one netlist.  Soundness and replay hinge
@@ -351,6 +486,7 @@ std::uint64_t portfolio_mix(std::uint64_t seed, int member) {
     return z ^ (z >> 31);
 }
 
+
 void run_portfolio_member(int member, PortfolioShared* shared,
                           MemberOutcome* out) {
     const CamoNetlist& netlist = *shared->netlist;
@@ -358,68 +494,12 @@ void run_portfolio_member(int member, PortfolioShared* shared,
     const int m = netlist.num_pis();
     OracleAttackResult& result = out->result;
 
-    // Identical construction order to the serial attack => identical
-    // variable ids across members at equal stamp counts.
-    sat::Solver solver;
+    Miter miter(netlist, params);
+    sat::Solver& solver = miter.solver();
     if (member > 0) {
         solver.set_phase_seed(portfolio_mix(params.warmup_seed, member));
     }
-    sat::CnfBuilder family_a(netlist, &solver, params.fixed_nominal);
-    sat::CnfBuilder family_b(netlist, &solver, params.fixed_nominal);
-    std::vector<sat::Lit> shared_x;
-    shared_x.reserve(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) shared_x.push_back(sat::mk_lit(solver.new_var()));
-    sat::CnfBuilder::Copy miter_a, miter_b;
-    if (params.shared_miter) {
-        sat::CnfBuilder::SharedCopy sc =
-            sat::CnfBuilder::add_shared_copies(family_a, family_b, shared_x);
-        result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-        miter_a = std::move(sc.a);
-        miter_b = std::move(sc.b);
-    } else {
-        miter_a = family_a.add_copy(shared_x);
-        miter_b = family_b.add_copy(shared_x);
-    }
-    std::vector<sat::Lit> any_diff;
-    for (int q = 0; q < netlist.num_pos(); ++q) {
-        const sat::Lit d = sat::mk_lit(solver.new_var());
-        const sat::Lit a = miter_a.po[static_cast<std::size_t>(q)];
-        const sat::Lit b = miter_b.po[static_cast<std::size_t>(q)];
-        solver.add_ternary(sat::lit_not(d), a, b);
-        solver.add_ternary(sat::lit_not(d), sat::lit_not(a), sat::lit_not(b));
-        any_diff.push_back(d);
-    }
-    solver.add_clause(any_diff);
     solver.set_clause_exchange(&shared->exchange, member);
-
-    const auto make_preprocessor = [&]() {
-        sat::Preprocessor pre(&solver, params.solver);
-        const std::vector<sat::Var> fa = family_a.frozen_vars();
-        const std::vector<sat::Var> fb = family_b.frozen_vars();
-        pre.freeze_all(fa);
-        pre.freeze_all(fb);
-        pre.freeze_lits(shared_x);
-        return pre;
-    };
-    std::size_t preprocessed_size = 0;
-    if (params.solver.preprocess) {
-        make_preprocessor().run();
-        preprocessed_size = solver.num_clauses();
-    }
-
-    const auto constrain_both = [&](const std::vector<bool>& in,
-                                    const std::vector<bool>& answer) {
-        if (params.shared_miter) {
-            sat::CnfBuilder::SharedCopy sc =
-                sat::CnfBuilder::add_shared_copies(family_a, family_b, in);
-            result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-            pin_outputs(&solver, sc.a, answer);
-            pin_outputs(&solver, sc.b, answer);
-        } else {
-            add_io_constraint(&solver, &family_a, in, answer, false);
-            add_io_constraint(&solver, &family_b, in, answer, false);
-        }
-    };
 
     // Per-member recorder above the shared cache: the member's transcript
     // is exactly the pairs it stamped, in stamp order.
@@ -437,7 +517,7 @@ void run_portfolio_member(int member, PortfolioShared* shared,
             result.status = OracleAttackResult::Status::kQueryBudget;
             return false;
         }
-        constrain_both(e.inputs, answer);
+        miter.constrain_both(e.inputs, answer);
         out->constraint_inputs.push_back(e.inputs);
         out->answers.push_back(std::move(answer));
         ++stamped;
@@ -459,32 +539,13 @@ void run_portfolio_member(int member, PortfolioShared* shared,
         util::Rng wrng(member == 0
                            ? params.warmup_seed
                            : portfolio_mix(params.warmup_seed ^ 0x77a9u, member));
-        int remaining = params.random_warmup;
-        while (remaining > 0 && !stopped) {
-            const int count = std::min(remaining, kQueryBlockWidth);
-            std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-            for (std::uint64_t& w : words) w = wrng.next_u64();
-            try {
-                const std::vector<std::uint64_t> po_words =
-                    shared->cache->query_block(words, count);
-                for (int k = 0; k < count; ++k) {
-                    shared->log.append(unpack_lane(words, k),
-                                       unpack_lane(po_words, k));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                try {
-                    // Blocks are all-or-nothing: drain the remaining budget
-                    // with scalar queries over the same patterns.
-                    for (int k = 0; k < count; ++k) {
-                        const std::vector<bool> in = unpack_lane(words, k);
-                        shared->log.append(in, shared->cache->query(in));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    stopped = true;
-                }
-            }
-            remaining -= count;
+        if (!query_random_patterns(
+                *shared->cache, wrng, m, params.random_warmup,
+                [&](std::vector<bool> in, std::vector<bool> answer) {
+                    shared->log.append(in, answer);
+                })) {
+            result.status = OracleAttackResult::Status::kQueryBudget;
+            stopped = true;
         }
         while (!stopped && result.warmup_queries < params.random_warmup &&
                stamped < shared->log.size()) {
@@ -496,7 +557,6 @@ void run_portfolio_member(int member, PortfolioShared* shared,
     // clauses persist across kUnknown returns, so slicing only costs the
     // cancel checks), one stamped pair per solve.
     std::vector<bool> pattern(static_cast<std::size_t>(m));
-    std::vector<sat::Lit> assumptions;
     constexpr std::uint64_t kSliceConflicts = 2000;
     while (!stopped) {
         if (shared->cancel.load(std::memory_order_relaxed)) break;
@@ -522,14 +582,7 @@ void run_portfolio_member(int member, PortfolioShared* shared,
             // Nothing pending to incorporate: contribute our own
             // distinguishing input.  (A stamped pair excludes its pattern
             // from the miter's models, so this is always genuinely new.)
-            for (int i = 0; i < m; ++i) {
-                pattern[static_cast<std::size_t>(i)] = solver.model_value(
-                    sat::lit_var(shared_x[static_cast<std::size_t>(i)]));
-            }
-            if (params.canonical_inputs) {
-                assumptions.clear();
-                canonicalize_pattern(&solver, shared_x, &assumptions, &pattern);
-            }
+            miter.distinguishing_input(&pattern);
             try {
                 shared->log.append(pattern, shared->cache->query(pattern));
             } catch (const OracleBudgetExceeded&) {
@@ -538,15 +591,10 @@ void run_portfolio_member(int member, PortfolioShared* shared,
             }
         }
         if (!incorporate_one()) break;
-        if (params.solver.preprocess && params.solver.inprocess_growth > 1.0 &&
-            static_cast<double>(solver.num_clauses()) >
-                params.solver.inprocess_growth *
-                    static_cast<double>(preprocessed_size)) {
-            make_preprocessor().run_light();
-            preprocessed_size = solver.num_clauses();
-        }
+        miter.inprocess();
     }
     result.sat_stats = solver.stats();
+    result.shared_cells = miter.shared_cells();
     out->transcript = recorder.transcript();
 }
 
@@ -661,16 +709,18 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         reg_oracle_hist = &reg.histogram("attack.oracle_query_us");
         reg_solve_hist = &reg.histogram("attack.sat_solve_us");
     }
-    const auto observe_query = [&](double us) {
-        if (!collect) return;
-        oracle_hist.observe(us);
-        if (reg_oracle_hist) reg_oracle_hist->observe(us);
-    };
     const auto observe_solve = [&](double us) {
         if (!collect) return;
         solve_hist.observe(us);
         if (reg_solve_hist) reg_solve_hist->observe(us);
     };
+    // Every chip access except the scripted warm-up goes through `chip`,
+    // which times it when metrics are collected.
+    TimedOracle timed(oracle, [&](double us) {
+        oracle_hist.observe(us);
+        if (reg_oracle_hist) reg_oracle_hist->observe(us);
+    });
+    Oracle& chip = collect ? static_cast<Oracle&>(timed) : oracle;
 
     report::Json attack_args;
     if (obs::tracing()) {
@@ -681,83 +731,22 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     }
     obs::Span attack_span("oracle-attack", "attack", std::move(attack_args));
 
-    // Two selector families in one incremental solver, mitered over shared
-    // symbolic inputs: a model is (config A, config B, input X) with A and B
-    // disagreeing at X while both satisfy every I/O constraint so far.
-    sat::Solver solver;
-    sat::CnfBuilder family_a(netlist, &solver, params.fixed_nominal);
-    sat::CnfBuilder family_b(netlist, &solver, params.fixed_nominal);
-
-    std::vector<sat::Lit> shared_x;
-    shared_x.reserve(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) shared_x.push_back(sat::mk_lit(solver.new_var()));
-    sat::CnfBuilder::Copy miter_a, miter_b;
-    if (params.shared_miter) {
-        sat::CnfBuilder::SharedCopy sc =
-            sat::CnfBuilder::add_shared_copies(family_a, family_b, shared_x);
-        result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-        miter_a = std::move(sc.a);
-        miter_b = std::move(sc.b);
-    } else {
-        miter_a = family_a.add_copy(shared_x);
-        miter_b = family_b.add_copy(shared_x);
-    }
-
-    // diff_q -> (a_q != b_q); at least one diff_q holds.  One direction of
-    // the XOR suffices: any model must exhibit a real output difference.
-    std::vector<sat::Lit> any_diff;
-    any_diff.reserve(static_cast<std::size_t>(r));
-    std::vector<sat::Lit> assumptions;
-    for (int q = 0; q < r; ++q) {
-        const sat::Lit d = sat::mk_lit(solver.new_var());
-        const sat::Lit a = miter_a.po[static_cast<std::size_t>(q)];
-        const sat::Lit b = miter_b.po[static_cast<std::size_t>(q)];
-        solver.add_ternary(sat::lit_not(d), a, b);
-        solver.add_ternary(sat::lit_not(d), sat::lit_not(a), sat::lit_not(b));
-        any_diff.push_back(d);
-    }
-    solver.add_clause(any_diff);
-
-    // Preprocess the miter core once (BVE + subsumption + strengthening),
-    // then run the light sweep whenever the database has outgrown the last
-    // simplified size: the per-pattern copies below get pinned down by
-    // level-0 propagation, and physically removing the satisfied clauses
-    // keeps watch lists short without disturbing the learned database.
-    const auto make_preprocessor = [&]() {
-        sat::Preprocessor pre(&solver, params.solver);
-        const std::vector<sat::Var> fa = family_a.frozen_vars();
-        const std::vector<sat::Var> fb = family_b.frozen_vars();
-        pre.freeze_all(fa);
-        pre.freeze_all(fb);
-        pre.freeze_lits(shared_x);
-        return pre;
-    };
-    std::size_t preprocessed_size = 0;
-    if (params.solver.preprocess) {
-        make_preprocessor().run();
-        preprocessed_size = solver.num_clauses();
-    }
-
-    // Stamps one I/O pair as constraints into BOTH families.
-    const auto constrain_both = [&](const std::vector<bool>& in,
-                                    const std::vector<bool>& out) {
-        if (params.shared_miter) {
-            sat::CnfBuilder::SharedCopy sc =
-                sat::CnfBuilder::add_shared_copies(family_a, family_b, in);
-            result.shared_cells += static_cast<std::uint64_t>(sc.shared_cells);
-            pin_outputs(&solver, sc.a, out);
-            pin_outputs(&solver, sc.b, out);
-        } else {
-            add_io_constraint(&solver, &family_a, in, out, false);
-            add_io_constraint(&solver, &family_b, in, out, false);
-        }
-    };
+    Miter miter(netlist, params);
+    sat::Solver& solver = miter.solver();
 
     // All constraint pairs in query order: random warm-up first, then the
     // distinguishing inputs (result.distinguishing_inputs holds only the
     // latter).  The counting tail replays the whole list.
     std::vector<std::vector<bool>> constraint_inputs;
     std::vector<std::vector<bool>> answers;
+    // Stamps one solver-free pruning pair (random or neighborhood warm-up).
+    const auto stamp_warmup = [&](std::vector<bool> in, std::vector<bool> out) {
+        assert(static_cast<int>(out.size()) == r);
+        miter.constrain_both(in, out);
+        constraint_inputs.push_back(std::move(in));
+        answers.push_back(std::move(out));
+        ++result.warmup_queries;
+    };
 
     // Random warm-up through the batched word-parallel path: every
     // answered pattern prunes the configurations disagreeing with the
@@ -773,15 +762,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         obs::Span warm_span("warmup", "attack", std::move(warm_args));
         util::Rng wrng(params.warmup_seed);
         int remaining = params.random_warmup;
-        const auto take_answer = [&](const std::vector<std::uint64_t>& words,
-                                     int k, std::vector<bool> out) {
-            std::vector<bool> in = unpack_lane(words, k);
-            assert(static_cast<int>(out.size()) == r);
-            constrain_both(in, out);
-            constraint_inputs.push_back(std::move(in));
-            answers.push_back(std::move(out));
-            ++result.warmup_queries;
-        };
         // Replay: the transcript prescribes the warm-up patterns.  (A
         // portfolio winner's warm-up region interleaves patterns it
         // incorporated from other members, which no local RNG regenerates;
@@ -792,10 +772,7 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             std::vector<bool> in = *oracle.scripted_pattern();
             try {
                 std::vector<bool> out = oracle.query(in);
-                constrain_both(in, out);
-                constraint_inputs.push_back(std::move(in));
-                answers.push_back(std::move(out));
-                ++result.warmup_queries;
+                stamp_warmup(std::move(in), std::move(out));
             } catch (const OracleBudgetExceeded&) {
                 result.status = OracleAttackResult::Status::kQueryBudget;
                 budget_tripped = true;
@@ -811,39 +788,10 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             result.status = OracleAttackResult::Status::kQueryBudget;
             budget_tripped = true;
         }
-        while (remaining > 0 && !budget_tripped) {
-            const int count = std::min(remaining, kQueryBlockWidth);
-            std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
-            for (std::uint64_t& w : words) w = wrng.next_u64();
-            try {
-                const auto q0 = collect ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point();
-                const std::vector<std::uint64_t> po_words =
-                    oracle.query_block(words, count);
-                if (collect) observe_query(us_since(q0));
-                for (int k = 0; k < count; ++k) {
-                    take_answer(words, k, unpack_lane(po_words, k));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                // The whole block overran the remaining budget (blocks are
-                // all-or-nothing); drain what is left with scalar queries
-                // over the SAME pattern sequence so the full allowance is
-                // spent before terminating honestly.
-                try {
-                    for (int k = 0; k < count; ++k) {
-                        const auto q0 =
-                            collect ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point();
-                        std::vector<bool> out = oracle.query(unpack_lane(words, k));
-                        if (collect) observe_query(us_since(q0));
-                        take_answer(words, k, std::move(out));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    budget_tripped = true;
-                }
-            }
-            remaining -= count;
+        if (remaining > 0 && !budget_tripped &&
+            !query_random_patterns(chip, wrng, m, remaining, stamp_warmup)) {
+            result.status = OracleAttackResult::Status::kQueryBudget;
+            budget_tripped = true;
         }
     }
 
@@ -851,7 +799,6 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
     // constrain BOTH families, shrinking the still-viable set on each side.
     std::vector<bool> pattern(static_cast<std::size_t>(m));
     while (!budget_tripped) {
-        assumptions.clear();
         // One span per CEGAR iteration; the final (UNSAT, convergence)
         // solve gets its own span with converged=true in the end args.
         report::Json iter_args;
@@ -891,20 +838,11 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
             assert(static_cast<int>(pattern.size()) == m);
             from_script = true;
         } else {
-            for (int i = 0; i < m; ++i) {
-                pattern[static_cast<std::size_t>(i)] = solver.model_value(
-                    sat::lit_var(shared_x[static_cast<std::size_t>(i)]));
-            }
-            if (params.canonical_inputs) {
-                canonicalize_pattern(&solver, shared_x, &assumptions, &pattern);
-            }
+            miter.distinguishing_input(&pattern);
         }
         std::vector<bool> answer;
         try {
-            const auto q0 = collect ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point();
-            answer = oracle.query(pattern);
-            if (collect) observe_query(us_since(q0));
+            answer = chip.query(pattern);
         } catch (const OracleBudgetExceeded&) {
             // Honest termination: the threat model ran out of chip access.
             result.status = OracleAttackResult::Status::kQueryBudget;
@@ -912,7 +850,7 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         }
         assert(static_cast<int>(answer.size()) == r);
         ++result.queries;
-        constrain_both(pattern, answer);
+        miter.constrain_both(pattern, answer);
         result.distinguishing_inputs.push_back(pattern);
         constraint_inputs.push_back(pattern);
         answers.push_back(std::move(answer));
@@ -937,62 +875,26 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         if (params.neighborhood_queries > 0 && !from_script && m > 0) {
             const int nq = std::min(
                 std::min(params.neighborhood_queries, m), kQueryBlockWidth);
-            std::vector<std::vector<bool>> neighbors;
-            neighbors.reserve(static_cast<std::size_t>(nq));
-            for (int b = 0; b < nq; ++b) {
-                std::vector<bool> nb = pattern;
-                nb[static_cast<std::size_t>(b)] =
-                    !nb[static_cast<std::size_t>(b)];
-                neighbors.push_back(std::move(nb));
+            // Lane b is the pattern with PI b flipped.
+            const std::uint64_t lanes = nq == kQueryBlockWidth
+                                            ? ~std::uint64_t{0}
+                                            : (std::uint64_t{1} << nq) - 1;
+            std::vector<std::uint64_t> words(static_cast<std::size_t>(m));
+            for (int i = 0; i < m; ++i) {
+                std::uint64_t& w = words[static_cast<std::size_t>(i)];
+                w = pattern[static_cast<std::size_t>(i)] ? lanes : 0;
+                if (i < nq) w ^= std::uint64_t{1} << i;
             }
-            const std::vector<std::uint64_t> words = pack_block(neighbors);
-            const auto take_neighbor = [&](int lane, std::vector<bool> out) {
-                assert(static_cast<int>(out.size()) == r);
-                constrain_both(neighbors[static_cast<std::size_t>(lane)], out);
-                constraint_inputs.push_back(
-                    neighbors[static_cast<std::size_t>(lane)]);
-                answers.push_back(std::move(out));
-                ++result.warmup_queries;
-            };
-            try {
-                const auto q0 = collect ? std::chrono::steady_clock::now()
-                                        : std::chrono::steady_clock::time_point();
-                const std::vector<std::uint64_t> po_words =
-                    oracle.query_block(words, nq);
-                if (collect) observe_query(us_since(q0));
-                for (int lane = 0; lane < nq; ++lane) {
-                    take_neighbor(lane, unpack_lane(po_words, lane));
-                }
-            } catch (const OracleBudgetExceeded&) {
-                // Blocks are all-or-nothing; drain the remaining allowance
-                // with scalar queries over the SAME patterns before
-                // terminating honestly (mirrors the random warm-up path).
-                try {
-                    for (int lane = 0; lane < nq; ++lane) {
-                        const auto q0 =
-                            collect ? std::chrono::steady_clock::now()
-                                    : std::chrono::steady_clock::time_point();
-                        std::vector<bool> out = oracle.query(
-                            neighbors[static_cast<std::size_t>(lane)]);
-                        if (collect) observe_query(us_since(q0));
-                        take_neighbor(lane, std::move(out));
-                    }
-                } catch (const OracleBudgetExceeded&) {
-                    result.status = OracleAttackResult::Status::kQueryBudget;
-                    budget_tripped = true;
-                }
+            if (!query_block_draining(chip, words, nq, stamp_warmup)) {
+                result.status = OracleAttackResult::Status::kQueryBudget;
+                budget_tripped = true;
             }
         }
-        if (params.solver.preprocess && params.solver.inprocess_growth > 1.0 &&
-            static_cast<double>(solver.num_clauses()) >
-                params.solver.inprocess_growth *
-                    static_cast<double>(preprocessed_size)) {
-            make_preprocessor().run_light();
-            preprocessed_size = solver.num_clauses();
-        }
+        miter.inprocess();
     }
 
     result.sat_stats = solver.stats();
+    result.shared_cells = miter.shared_cells();
 
     // UNSAT: every configuration consistent with the collected I/O pairs is
     // functionally equivalent to the oracle (if any disagreed anywhere, the

@@ -132,7 +132,9 @@ struct OracleAttackParams {
     /// only remove configurations the chip disagrees with (asserted in
     /// bench_oracle_attack).  Ignored under transcript replay, where the
     /// scripted patterns already embed whatever neighborhood queries the
-    /// recorded run made.  0 = off.
+    /// recorded run made.  Serial loop only: portfolio members never issue
+    /// them, so the scenario layer (flow::validate_values) rejects a
+    /// positive value with more than one member.  0 = off.
     int neighborhood_queries = 0;
     /// Collect per-attack latency metrics (oracle-query and SAT-solve
     /// histograms) into OracleAttackResult::metrics.  Also on whenever the
@@ -154,7 +156,9 @@ struct OracleAttackParams {
     /// bit-identically through TranscriptOracle.  Survivor counts are
     /// invariant across member schedules (any convergent constraint set
     /// pins the same function).  Ignored when the oracle is a replaying
-    /// transcript: replay always takes the serial path.
+    /// transcript: replay always takes the serial path.  Members build the
+    /// serial loop's miter and differ only in seeds and clause exchange;
+    /// they do not issue neighborhood_queries (see above).
     int portfolio = 0;
     /// Selector-cube width for the parallel exact counter
     /// (count::CounterConfig::cube_vars); 0 = auto from attack_threads.

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <string>
 
+#include "camo/inject.hpp"
+
 namespace mvf::attack {
 
 using camo::CamoNetlist;
@@ -12,58 +14,17 @@ using tech::Netlist;
 RandomCamoResult random_camouflage(const Netlist& mapped,
                                    const camo::CamoLibrary& library,
                                    double fraction, util::Rng& rng) {
-    assert(mapped.num_selects() == 0);
-
-    CamoNetlist out(library);
-    std::vector<int> node_map(static_cast<std::size_t>(mapped.num_nodes()), -1);
-    std::vector<bool> fixed;
+    camo::LookAlike la = camo::look_alike(mapped, library);
     int camouflaged = 0;
-
-    for (int id = 0; id < mapped.num_nodes(); ++id) {
-        const Netlist::Node& n = mapped.node(id);
-        switch (n.kind) {
-            case Netlist::NodeKind::kPi:
-                node_map[static_cast<std::size_t>(id)] = out.add_pi(n.name);
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), false);
-                break;
-            case Netlist::NodeKind::kConst0:
-            case Netlist::NodeKind::kConst1: {
-                CamoNetlist::Node tie;
-                tie.kind = CamoNetlist::NodeKind::kCell;
-                tie.camo_cell_id = library.tie_id();
-                tie.config_fn = {n.kind == Netlist::NodeKind::kConst1 ? 1 : 0};
-                node_map[static_cast<std::size_t>(id)] = out.add_cell(std::move(tie));
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), false);
-                break;
-            }
-            case Netlist::NodeKind::kCell: {
-                const int camo_id = library.camo_of_nominal(n.cell_id);
-                assert(camo_id >= 0);
-                CamoNetlist::Node inst;
-                inst.kind = CamoNetlist::NodeKind::kCell;
-                inst.camo_cell_id = camo_id;
-                inst.fanins.reserve(n.fanins.size());
-                for (const int f : n.fanins) {
-                    inst.fanins.push_back(node_map[static_cast<std::size_t>(f)]);
-                }
-                inst.used_pin_mask =
-                    (1u << library.cell(camo_id).num_pins) - 1;
-                inst.config_fn = {0};  // plausible[0] is the nominal function
-                const int nid = out.add_cell(std::move(inst));
-                node_map[static_cast<std::size_t>(id)] = nid;
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), false);
-                const bool camo_this = rng.coin(fraction);
-                fixed[static_cast<std::size_t>(nid)] = !camo_this;
-                if (camo_this) ++camouflaged;
-                break;
-            }
-        }
+    for (std::size_t k = 0; k < la.candidates.size(); ++k) {
+        // One coin per cell, in node order; constants stay known.
+        const int orig = la.candidate_orig[k];
+        if (mapped.node(orig).kind != Netlist::NodeKind::kCell) continue;
+        if (!rng.coin(fraction)) continue;
+        la.fixed_nominal[static_cast<std::size_t>(la.candidates[k])] = false;
+        ++camouflaged;
     }
-    for (int i = 0; i < mapped.num_pos(); ++i) {
-        out.add_po(node_map[static_cast<std::size_t>(mapped.po(i))],
-                   mapped.po_name(i));
-    }
-    return {std::move(out), std::move(fixed), camouflaged};
+    return {std::move(la.netlist), std::move(la.fixed_nominal), camouflaged};
 }
 
 camo::CamoNetlist random_camo_netlist(const camo::CamoLibrary& library,

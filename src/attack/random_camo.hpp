@@ -23,10 +23,13 @@ struct RandomCamoResult {
 };
 
 /// Replaces each cell of `mapped` (which must have no select inputs -- it is
-/// a plain single-function circuit) by its camouflaged look-alike;
-/// a random `fraction` of instances is actually camouflaged (attacker
-/// uncertainty), the rest stay fixed at the nominal function.  The true
-/// function of the circuit is preserved under configuration code 0.
+/// a plain single-function circuit) by its camouflaged look-alike
+/// (camo::look_alike); a random `fraction` of the cell instances, one coin
+/// each in node order, is actually camouflaged (attacker uncertainty), the
+/// rest -- constants' TIE cells included -- stay fixed at the nominal
+/// function.  The true function of the circuit is preserved under
+/// configuration code 0.  Throws std::runtime_error when `library` has no
+/// camouflaged variant of a mapped cell.
 RandomCamoResult random_camouflage(const tech::Netlist& mapped,
                                    const camo::CamoLibrary& library,
                                    double fraction, util::Rng& rng);

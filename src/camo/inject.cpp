@@ -34,52 +34,33 @@ const char* inject_policy_name(InjectPolicy policy) {
     return "?";
 }
 
-InjectResult inject(const Netlist& mapped, const CamoLibrary& library,
-                    const InjectParams& params) {
+LookAlike look_alike(const Netlist& mapped, const CamoLibrary& library) {
     assert(mapped.num_selects() == 0);
-
-    // Translate every node to its look-alike form, exactly as the random-
-    // camouflage baseline does: consts -> TIE, cells -> camo variant with
-    // config_fn = {nominal}.  Candidate list collects the camo node ids
-    // whose fixedness is still to be decided (constants included — a TIE
-    // the attacker cannot read is genuine uncertainty).
-    CamoNetlist out(library);
+    LookAlike la{CamoNetlist(library), {}, {}, {}};
+    CamoNetlist& out = la.netlist;
     std::vector<int> node_map(static_cast<std::size_t>(mapped.num_nodes()), -1);
-    std::vector<bool> fixed;
-    std::vector<int> candidates;       // camo node ids
-    std::vector<int> candidate_orig;   // same order: mapped node ids
-
     for (int id = 0; id < mapped.num_nodes(); ++id) {
         const Netlist::Node& n = mapped.node(id);
+        CamoNetlist::Node inst;
+        inst.kind = CamoNetlist::NodeKind::kCell;
         switch (n.kind) {
             case Netlist::NodeKind::kPi:
                 node_map[static_cast<std::size_t>(id)] = out.add_pi(n.name);
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), false);
-                break;
+                la.fixed_nominal.push_back(false);
+                continue;
             case Netlist::NodeKind::kConst0:
-            case Netlist::NodeKind::kConst1: {
-                CamoNetlist::Node tie;
-                tie.kind = CamoNetlist::NodeKind::kCell;
-                tie.camo_cell_id = library.tie_id();
-                tie.config_fn = {n.kind == Netlist::NodeKind::kConst1 ? 1 : 0};
-                const int nid = out.add_cell(std::move(tie));
-                node_map[static_cast<std::size_t>(id)] = nid;
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), true);
-                fixed[static_cast<std::size_t>(nid)] = true;
-                candidates.push_back(nid);
-                candidate_orig.push_back(id);
+            case Netlist::NodeKind::kConst1:
+                inst.camo_cell_id = library.tie_id();
+                inst.config_fn = {n.kind == Netlist::NodeKind::kConst1 ? 1 : 0};
                 break;
-            }
             case Netlist::NodeKind::kCell: {
                 const int camo_id = library.camo_of_nominal(n.cell_id);
                 if (camo_id < 0) {
                     throw std::runtime_error(
-                        "camo::inject: library has no camouflaged variant "
+                        "camo::look_alike: library has no camouflaged variant "
                         "of cell \"" +
                         mapped.library().cell(n.cell_id).name + "\"");
                 }
-                CamoNetlist::Node inst;
-                inst.kind = CamoNetlist::NodeKind::kCell;
                 inst.camo_cell_id = camo_id;
                 inst.fanins.reserve(n.fanins.size());
                 for (const int f : n.fanins) {
@@ -88,20 +69,30 @@ InjectResult inject(const Netlist& mapped, const CamoLibrary& library,
                 inst.used_pin_mask =
                     (1u << library.cell(camo_id).num_pins) - 1;
                 inst.config_fn = {0};  // plausible[0] is the nominal function
-                const int nid = out.add_cell(std::move(inst));
-                node_map[static_cast<std::size_t>(id)] = nid;
-                fixed.resize(static_cast<std::size_t>(out.num_nodes()), true);
-                fixed[static_cast<std::size_t>(nid)] = true;
-                candidates.push_back(nid);
-                candidate_orig.push_back(id);
                 break;
             }
         }
+        const int nid = out.add_cell(std::move(inst));
+        node_map[static_cast<std::size_t>(id)] = nid;
+        la.fixed_nominal.push_back(true);
+        la.candidates.push_back(nid);
+        la.candidate_orig.push_back(id);
     }
     for (int i = 0; i < mapped.num_pos(); ++i) {
         out.add_po(node_map[static_cast<std::size_t>(mapped.po(i))],
                    mapped.po_name(i));
     }
+    return la;
+}
+
+InjectResult inject(const Netlist& mapped, const CamoLibrary& library,
+                    const InjectParams& params) {
+    // Candidates are every cell, constants included: a TIE the attacker
+    // cannot read is genuine uncertainty.
+    LookAlike la = look_alike(mapped, library);
+    std::vector<bool>& fixed = la.fixed_nominal;
+    const std::vector<int>& candidates = la.candidates;
+    const std::vector<int>& candidate_orig = la.candidate_orig;
 
     // Pick the camouflage budget.
     const int total = static_cast<int>(candidates.size());
@@ -167,7 +158,7 @@ InjectResult inject(const Netlist& mapped, const CamoLibrary& library,
         fixed[static_cast<std::size_t>(nid)] = false;
     }
 
-    InjectResult result{std::move(out), std::move(fixed), {}, total};
+    InjectResult result{std::move(la.netlist), std::move(fixed), {}, total};
     result.stats.area = result.netlist.area();
     result.stats.num_cells = target;
     result.stats.selects_eliminated = 0;

@@ -55,6 +55,23 @@ struct InjectResult {
     int total_cells = 0;
 };
 
+/// The look-alike translation every injection starts from: each cell of
+/// `mapped` (which must have no select inputs) becomes its camouflaged
+/// variant configured to its nominal function (config_fn = {0}), each
+/// constant a TIE cell, and every cell starts fixed.  Code 0 realizes the
+/// original circuit.  Throws std::runtime_error when `library` has no
+/// camouflaged variant of a mapped cell.
+struct LookAlike {
+    CamoNetlist netlist;
+    /// True for every cell (TIEs included), false for PIs.
+    std::vector<bool> fixed_nominal;
+    /// The cells, as CamoNetlist node ids in mapped-node order.
+    std::vector<int> candidates;
+    /// The mapped node id of each candidate.
+    std::vector<int> candidate_orig;
+};
+LookAlike look_alike(const tech::Netlist& mapped, const CamoLibrary& library);
+
 /// Camouflages `mapped` (which must have no select inputs) against
 /// `library`: every cell becomes its look-alike variant, constants become
 /// TIE cells, and the selected subset is left free for the attacker to

@@ -708,18 +708,23 @@ void validate_values(const FlowParams& p, const std::vector<std::string>& panel,
     if (replay && p.oracle.portfolio > 1) {
         fail(sp("replay_transcript") + " contradicts " + sp("portfolio"));
     }
+    const int members =
+        p.oracle.portfolio > 0 ? p.oracle.portfolio : std::max(1, p.oracle.attack_threads);
+    const auto require_serial = [&](std::string_view key) {
+        if (members <= 1) return;
+        fail(sp(key) + " requires a serial CEGAR attack (set " +
+             setting("portfolio", "1", surface) + " or " +
+             setting("attack_threads", "1", surface) + ")");
+    };
+    // Neighborhood queries extend the serial CEGAR loop; portfolio members
+    // never issue them.
+    if (p.oracle.neighborhood_queries > 0) require_serial("neighborhood_queries");
     // A proof certifies a fresh serial CEGAR run: replaying a transcript
     // proves nothing new, and portfolio members interleave their queries
     // into a non-replayable sequence.
     if (p.emit_proof.empty()) return;
     if (replay) fail(sp("emit_proof") + " contradicts " + sp("replay_transcript"));
-    const int members =
-        p.oracle.portfolio > 0 ? p.oracle.portfolio : std::max(1, p.oracle.attack_threads);
-    if (members > 1) {
-        fail(sp("emit_proof") + " requires a serial CEGAR attack (set " +
-             setting("portfolio", "1", surface) + " or " +
-             setting("attack_threads", "1", surface) + ")");
-    }
+    require_serial("emit_proof");
     if (std::find(panel.begin(), panel.end(), "cegar") == panel.end()) {
         fail(sp("emit_proof") + " requires the cegar adversary in " + sp("attack"));
     }

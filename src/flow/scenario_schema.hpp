@@ -116,8 +116,8 @@ void validate_scenario(const Scenario& s, const std::set<std::string_view>& give
                        Surface surface);
 
 /// The rules on values alone: unknown adversaries, viable-set adversaries
-/// on a circuit, replay conflicts and the emit_proof contract for the
-/// attack stage's adversary `panel`.  The attack stage calls it too.
+/// on a circuit, replay conflicts, the serial-only neighborhood queries and
+/// the emit_proof contract for the attack stage's adversary `panel`.  The attack stage calls it too.
 void validate_values(const FlowParams& params, const std::vector<std::string>& panel,
                      Surface surface = Surface::kSpec);
 

@@ -211,6 +211,18 @@ TEST(RandomCamo, FractionZeroCamouflagesNothing) {
             EXPECT_TRUE(rc.fixed_nominal[static_cast<std::size_t>(id)]);
         }
     }
+
+    // A constant becomes a TIE cell, which stays known like every other
+    // cell.
+    tech::Netlist with_const(tech::GateLibrary::standard());
+    const int a = with_const.add_pi("a");
+    const int one = with_const.add_const(true);
+    with_const.add_po(
+        with_const.add_cell(with_const.library().find("NAND2"), {a, one}), "o");
+    const RandomCamoResult tied =
+        random_camouflage(with_const, f.camo_library(), 0.0, rng);
+    EXPECT_EQ(tied.camouflaged_cells, 0);
+    EXPECT_EQ(tied.fixed_nominal, (std::vector<bool>{false, true, true}));
 }
 
 TEST(AnyPins, FindsPlausibilityUnderReinterpretation) {

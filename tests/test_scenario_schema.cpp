@@ -368,6 +368,27 @@ TEST_F(SchemaTest, AdversaryPanelIsCheckedBeforeAnyStageRuns) {
     EXPECT_EQ(spec_error("funcs=present:2 attack=cegar emit_proof=p.json\n"), "");
 }
 
+TEST_F(SchemaTest, NeighborhoodQueriesRequireASerialAttack) {
+    EXPECT_NE(cli_error({"--attack-threads", "2", "--neighborhood-queries", "4"})
+                  .find("--neighborhood-queries requires a serial CEGAR attack "
+                        "(set --portfolio 1 or --attack-threads 1)"),
+              std::string::npos);
+    EXPECT_NE(spec_error("funcs=present:2 portfolio=3 neighborhood_queries=4\n")
+                  .find("line 1: neighborhood_queries requires a serial CEGAR "
+                        "attack (set portfolio=1 or attack_threads=1)"),
+              std::string::npos);
+    // portfolio=1 forces the serial loop whatever attack_threads says.
+    EXPECT_EQ(spec_error("funcs=present:2 attack_threads=4 portfolio=1 "
+                         "neighborhood_queries=4\n"),
+              "");
+    // The attack stage runs the same value rules on API-built params.
+    FlowParams p;
+    p.oracle.neighborhood_queries = 4;
+    EXPECT_NO_THROW(validate_values(p, {"cegar"}));
+    p.oracle.attack_threads = 2;
+    EXPECT_THROW(validate_values(p, {"cegar"}), std::invalid_argument);
+}
+
 TEST_F(SchemaTest, ErrorsSpellKnobsTheWayTheirSurfaceDoes) {
     EXPECT_NE(spec_error("funcs=present:2 count_mode=approx enum_survivors=0\n")
                   .find("enum_survivors=0 skips survivor counting; it "
