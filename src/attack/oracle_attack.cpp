@@ -714,8 +714,8 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
         solve_hist.observe(us);
         if (reg_solve_hist) reg_solve_hist->observe(us);
     };
-    // Every chip access except the scripted warm-up goes through `chip`,
-    // which times it when metrics are collected.
+    // Every chip access goes through `chip`, which times it when metrics
+    // are collected.
     TimedOracle timed(oracle, [&](double us) {
         oracle_hist.observe(us);
         if (reg_oracle_hist) reg_oracle_hist->observe(us);
@@ -771,7 +771,7 @@ OracleAttackResult oracle_attack(const CamoNetlist& netlist, Oracle& oracle,
                oracle.scripted_pattern() != nullptr) {
             std::vector<bool> in = *oracle.scripted_pattern();
             try {
-                std::vector<bool> out = oracle.query(in);
+                std::vector<bool> out = chip.query(in);
                 stamp_warmup(std::move(in), std::move(out));
             } catch (const OracleBudgetExceeded&) {
                 result.status = OracleAttackResult::Status::kQueryBudget;

@@ -12,6 +12,7 @@
 
 #include "attack/adversary.hpp"
 #include "camo/inject.hpp"
+#include "net/cuts.hpp"
 #include "util/sha256.hpp"
 
 namespace mvf::flow {
@@ -172,13 +173,14 @@ Knob choice(Knob k, Ref<E> ref, std::vector<std::pair<std::string, E>> names) {
 }
 
 /// An API-only knob: a FlowParams field that no surface sets, hashed at
-/// `path`.
+/// `path`.  validate_values checks a number against its `range`.
 template <class T>
-Knob api(std::string_view path, Phase phase, Applies applies, Ref<T> ref) {
+Knob api(std::string_view path, Phase phase, Applies applies, Ref<T> ref,
+         Range range = {}) {
     if constexpr (std::is_same_v<T, bool>) {
         return flag({.path = path, .phase = phase, .applies = applies}, ref);
     } else {
-        return num<T>({.path = path, .phase = phase, .applies = applies}, ref);
+        return num<T>({.path = path, .phase = phase, .applies = applies}, ref, range);
     }
 }
 
@@ -264,9 +266,10 @@ void add_search_knobs(std::vector<Knob>& t) {
                                    FIELD(params.fitness_build),
                                    {{"factored", BuildStyle::kFactored},
                                     {"shared-extract", BuildStyle::kSharedExtract}}));
-    t.push_back(api("map.cut_max_leaves", p, both, FIELD(params.map.cuts.max_leaves)));
+    t.push_back(api("map.cut_max_leaves", p, both, FIELD(params.map.cuts.max_leaves),
+                    {.lo = 1, .hi = net::Cut::kMaxLeaves}));
     t.push_back(api("map.cut_max_cuts_per_node", p, both,
-                    FIELD(params.map.cuts.max_cuts_per_node)));
+                    FIELD(params.map.cuts.max_cuts_per_node), {.lo = 1}));
     t.push_back(api("map.cut_include_trivial", p, both, FIELD(params.map.cuts.include_trivial)));
     t.push_back(api("map.recovery_iterations", p, both, FIELD(params.map.recovery_iterations)));
     t.push_back(api("random_count", p, sbox, FIELD(params.random_count)));
@@ -697,6 +700,13 @@ void validate_values(const FlowParams& p, const std::vector<std::string>& panel,
             fail("adversary \"" + name + "\" needs the viable-function set; circuit scenarios "
                  "support oracle-granted adversaries (e.g. cegar, random-sampling)");
         }
+    }
+    // No surface parses an API-only knob, so its range is checked here, on
+    // the value the params hold.
+    Scenario probe;
+    probe.params = p;
+    for (const Knob& k : scenario_knobs()) {
+        if (k.key.empty()) k.parse(probe, k.format(probe), k.spelling(surface));
     }
     const bool replay = !p.replay_transcript.empty();
     // A cache above a replaying transcript desynchronizes the replay cursor

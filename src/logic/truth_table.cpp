@@ -12,20 +12,16 @@ constexpr std::uint64_t kVarMask[6] = {
     0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
 };
 
-std::size_t words_for(int num_vars) {
-    return num_vars <= 6 ? 1u : (std::size_t{1} << (num_vars - 6));
-}
-
 }  // namespace
 
-TruthTable::TruthTable(int num_vars)
-    : num_vars_(num_vars), words_(words_for(num_vars), 0) {
+TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
     assert(num_vars >= 0 && num_vars <= 16);
+    if (num_vars > kInlineVars) large_.assign(std::size_t{1} << (num_vars - 6), 0);
 }
 
 TruthTable TruthTable::ones(int num_vars) {
     TruthTable t(num_vars);
-    for (auto& w : t.words_) w = ~0ull;
+    for (auto& w : t.words()) w = ~0ull;
     t.normalize();
     return t;
 }
@@ -34,11 +30,11 @@ TruthTable TruthTable::var(int var, int num_vars) {
     assert(var >= 0 && var < num_vars);
     TruthTable t(num_vars);
     if (var < 6) {
-        for (auto& w : t.words_) w = kVarMask[var];
+        for (auto& w : t.words()) w = kVarMask[var];
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t i = 0; i < t.words_.size(); ++i) {
-            if ((i / stride) & 1) t.words_[i] = ~0ull;
+        for (std::size_t i = 0; i < t.large_.size(); ++i) {
+            if ((i / stride) & 1) t.large_[i] = ~0ull;
         }
     }
     t.normalize();
@@ -48,7 +44,7 @@ TruthTable TruthTable::var(int var, int num_vars) {
 TruthTable TruthTable::from_u64(int num_vars, std::uint64_t bits) {
     assert(num_vars <= 6);
     TruthTable t(num_vars);
-    t.words_[0] = bits;
+    t.small_ = bits;
     t.normalize();
     return t;
 }
@@ -61,19 +57,20 @@ TruthTable TruthTable::from_function(
 }
 
 bool TruthTable::bit(std::uint32_t minterm) const {
-    return (words_[minterm >> 6] >> (minterm & 63)) & 1;
+    return (words()[minterm >> 6] >> (minterm & 63)) & 1;
 }
 
 void TruthTable::set_bit(std::uint32_t minterm, bool value) {
     const std::uint64_t mask = 1ull << (minterm & 63);
+    std::uint64_t& w = words()[minterm >> 6];
     if (value)
-        words_[minterm >> 6] |= mask;
+        w |= mask;
     else
-        words_[minterm >> 6] &= ~mask;
+        w &= ~mask;
 }
 
 bool TruthTable::is_zero() const {
-    for (const auto w : words_)
+    for (const auto w : words())
         if (w) return false;
     return true;
 }
@@ -82,13 +79,13 @@ bool TruthTable::is_ones() const { return *this == ones(num_vars_); }
 
 int TruthTable::count_ones() const {
     int n = 0;
-    for (const auto w : words_) n += __builtin_popcountll(w);
+    for (const auto w : words()) n += __builtin_popcountll(w);
     return n;
 }
 
 TruthTable TruthTable::operator~() const {
     TruthTable t(*this);
-    for (auto& w : t.words_) w = ~w;
+    for (auto& w : t.words()) w = ~w;
     t.normalize();
     return t;
 }
@@ -108,17 +105,23 @@ TruthTable TruthTable::operator^(const TruthTable& o) const {
 
 TruthTable& TruthTable::operator&=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
+    const std::span<std::uint64_t> w = words();
+    const std::span<const std::uint64_t> v = o.words();
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] &= v[i];
     return *this;
 }
 TruthTable& TruthTable::operator|=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
+    const std::span<std::uint64_t> w = words();
+    const std::span<const std::uint64_t> v = o.words();
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] |= v[i];
     return *this;
 }
 TruthTable& TruthTable::operator^=(const TruthTable& o) {
     assert(num_vars_ == o.num_vars_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= o.words_[i];
+    const std::span<std::uint64_t> w = words();
+    const std::span<const std::uint64_t> v = o.words();
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] ^= v[i];
     return *this;
 }
 
@@ -128,7 +131,7 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
     if (var < 6) {
         const int shift = 1 << var;
         const std::uint64_t mask = kVarMask[var];
-        for (auto& w : t.words_) {
+        for (auto& w : t.words()) {
             if (value)
                 w = (w & mask) | ((w & mask) >> shift);
             else
@@ -136,11 +139,11 @@ TruthTable TruthTable::cofactor(int var, bool value) const {
         }
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t i = 0; i < t.words_.size(); ++i) {
+        for (std::size_t i = 0; i < t.large_.size(); ++i) {
             const bool hi = (i / stride) & 1;
             if (hi != value) {
                 const std::size_t src = value ? i + stride : i - stride;
-                t.words_[i] = t.words_[src];
+                t.large_[i] = t.large_[src];
             }
         }
     }
@@ -195,7 +198,7 @@ TruthTable TruthTable::project(std::span<const int> vars) const {
 
 std::size_t TruthTable::hash() const {
     std::size_t h = static_cast<std::size_t>(num_vars_) * 0x9e3779b97f4a7c15ull;
-    for (const auto w : words_) {
+    for (const auto w : words()) {
         h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     }
     return h;
@@ -205,8 +208,9 @@ std::string TruthTable::to_hex() const {
     std::string out;
     char buf[20];
     const int digits = num_vars_ <= 2 ? 1 : (1 << (num_vars_ - 2));
-    for (auto it = words_.rbegin(); it != words_.rend(); ++it) {
-        const int d = words_.size() == 1 ? digits : 16;
+    const std::span<const std::uint64_t> w = words();
+    for (auto it = w.rbegin(); it != w.rend(); ++it) {
+        const int d = w.size() == 1 ? digits : 16;
         std::snprintf(buf, sizeof buf, "%0*llx", d,
                       static_cast<unsigned long long>(*it));
         out += buf;
@@ -215,9 +219,7 @@ std::string TruthTable::to_hex() const {
 }
 
 void TruthTable::normalize() {
-    if (num_vars_ < 6) {
-        words_[0] &= (1ull << (1 << num_vars_)) - 1;
-    }
+    if (num_vars_ < 6) small_ &= (1ull << (1 << num_vars_)) - 1;
 }
 
 }  // namespace mvf::logic

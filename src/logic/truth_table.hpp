@@ -7,9 +7,11 @@
 // ABSFUNC select-abstraction all manipulate TruthTable values.
 //
 // A table over n variables stores 2^n bits packed into 64-bit words.  For
-// n < 6 a single word is used and the unused high bits are kept zero
-// (tables are always kept normalized so operator== and hashing are exact).
-// Variable 0 is the fastest-toggling input (minterm bit 0).
+// n <= 6 the single word is stored inline (no heap allocation: the synthesis
+// kernels build and combine millions of such tables); for n < 6 its unused
+// high bits are kept zero (tables are always kept normalized so operator==
+// and hashing are exact).  Variable 0 is the fastest-toggling input
+// (minterm bit 0).
 
 #include <cstdint>
 #include <functional>
@@ -43,8 +45,8 @@ public:
 
     int num_vars() const { return num_vars_; }
     std::uint32_t num_bits() const { return 1u << num_vars_; }
-    std::size_t num_words() const { return words_.size(); }
-    std::uint64_t word(std::size_t i) const { return words_[i]; }
+    std::size_t num_words() const { return words().size(); }
+    std::uint64_t word(std::size_t i) const { return words()[i]; }
 
     bool bit(std::uint32_t minterm) const;
     void set_bit(std::uint32_t minterm, bool value);
@@ -89,16 +91,27 @@ public:
     TruthTable project(std::span<const int> vars) const;
 
     /// Low 2^min(num_vars,6) bits of word 0 (handy for <=4-var matching).
-    std::uint64_t as_u64() const { return words_[0]; }
+    std::uint64_t as_u64() const { return words()[0]; }
 
     std::size_t hash() const;
     std::string to_hex() const;
 
 private:
+    static constexpr int kInlineVars = 6;
+
+    std::span<std::uint64_t> words() {
+        if (num_vars_ <= kInlineVars) return {&small_, 1};
+        return large_;
+    }
+    std::span<const std::uint64_t> words() const {
+        if (num_vars_ <= kInlineVars) return {&small_, 1};
+        return large_;
+    }
     void normalize();
 
     int num_vars_;
-    std::vector<std::uint64_t> words_;
+    std::uint64_t small_ = 0;            ///< the table, when num_vars <= 6
+    std::vector<std::uint64_t> large_;   ///< the words, when num_vars > 6
 };
 
 struct TruthTableHash {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 
 namespace mvf::tech {
@@ -93,6 +94,8 @@ struct Choice {
     Cut cut;
     CellMatch match;
 };
+// Recording a better match is a plain copy, never a heap allocation.
+static_assert(std::is_trivially_copyable_v<Choice>);
 
 struct Mapper {
     const Aig& aig;
@@ -130,7 +133,7 @@ struct Mapper {
         for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
             const auto idx = static_cast<std::size_t>(n);
             for (const Cut& cut : cut_set.cuts_of(n)) {
-                if (cut.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+                if (cut.size() == 1 && cut.leaf_ids[0] == n) continue;  // trivial
                 for (int phase = 0; phase < 2; ++phase) {
                     const std::uint16_t target =
                         phase ? static_cast<std::uint16_t>(~cut.function)
@@ -171,7 +174,7 @@ struct Mapper {
         double c = cell.area;
         for (int p = 0; p < cell.num_inputs; ++p) {
             const int leaf_pos = m.pin_leaf_pos[static_cast<std::size_t>(p)];
-            const int leaf = cut.leaves[static_cast<std::size_t>(leaf_pos)];
+            const int leaf = cut.leaf_ids[static_cast<std::size_t>(leaf_pos)];
             const int ph = m.pin_neg[static_cast<std::size_t>(p)] ? 1 : 0;
             c += cost[static_cast<std::size_t>(leaf)][static_cast<std::size_t>(ph)] /
                  refs[static_cast<std::size_t>(leaf)];
@@ -232,7 +235,7 @@ struct Mapper {
                         const int leaf_pos =
                             ch.match.pin_leaf_pos[static_cast<std::size_t>(p)];
                         const int leaf =
-                            ch.cut.leaves[static_cast<std::size_t>(leaf_pos)];
+                            ch.cut.leaf_ids[static_cast<std::size_t>(leaf_pos)];
                         const int ph =
                             ch.match.pin_neg[static_cast<std::size_t>(p)] ? 1 : 0;
                         fanins[static_cast<std::size_t>(p)] = self(self, leaf, ph);

@@ -1,7 +1,9 @@
 #include "net/cuts.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace mvf::net {
 namespace {
@@ -9,112 +11,154 @@ namespace {
 // Truth tables of the four cut-leaf variables in the 4-var space.
 constexpr std::uint16_t kVarTT[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
 
-// Re-expresses `tt` (over `from` leaves) in the variable space of `to`
-// (a superset of `from`).
-std::uint16_t expand_tt(std::uint16_t tt, const std::vector<int>& from,
-                        const std::vector<int>& to) {
-    std::uint16_t out = 0;
-    // position of each `from` leaf within `to`
-    int pos[4];
-    for (std::size_t i = 0; i < from.size(); ++i) {
-        const auto it = std::lower_bound(to.begin(), to.end(), from[i]);
-        assert(it != to.end() && *it == from[i]);
-        pos[i] = static_cast<int>(it - to.begin());
-    }
-    for (std::uint32_t m = 0; m < 16; ++m) {
-        std::uint32_t src = 0;
-        for (std::size_t i = 0; i < from.size(); ++i) {
-            if ((m >> pos[i]) & 1) src |= 1u << i;
-        }
-        if ((tt >> src) & 1) out |= static_cast<std::uint16_t>(1u << m);
-    }
-    return out;
+std::uint32_t leaf_bit(int node) { return 1u << (static_cast<unsigned>(node) & 31u); }
+
+Cut single_leaf_cut(int node, std::uint16_t function) {
+    Cut c;
+    c.leaf_ids[0] = node;
+    c.num_leaves = 1;
+    c.signature = leaf_bit(node);
+    c.function = function;
+    return c;
 }
 
-// Merges two sorted leaf sets; returns false if the union exceeds max_leaves.
-bool merge_leaves(const std::vector<int>& a, const std::vector<int>& b,
-                  int max_leaves, std::vector<int>* out) {
-    out->clear();
-    std::size_t i = 0;
-    std::size_t j = 0;
+// Swaps variables i < j of a 4-var truth table.
+std::uint16_t swap_vars(std::uint16_t tt, int i, int j) {
+    const int shift = (1 << j) - (1 << i);
+    const std::uint32_t up = kVarTT[j] & static_cast<std::uint16_t>(~kVarTT[i]);
+    const std::uint32_t down = up >> shift;  // var i set, var j clear
+    return static_cast<std::uint16_t>((tt & ~(up | down)) | ((tt & down) << shift) |
+                                      ((tt & up) >> shift));
+}
+
+// Re-expresses `tt` (over `from`'s leaves) in the variable space of `to`, a
+// sorted superset.  Leaf i of `from` lands at position pos >= i of `to`;
+// moving the leaves from the last one down, each swap targets a position
+// the function does not yet depend on, so the swap is exact.
+std::uint16_t expand_tt(std::uint16_t tt, const Cut& from, const Cut& to) {
+    int pos = to.size();
+    for (int i = from.size() - 1; i >= 0; --i) {
+        do {
+            --pos;
+        } while (to.leaf_ids[static_cast<std::size_t>(pos)] !=
+                 from.leaf_ids[static_cast<std::size_t>(i)]);
+        if (pos != i) tt = swap_vars(tt, i, pos);
+    }
+    return tt;
+}
+
+// Merges two sorted leaf sets into `out`; returns false if the union
+// exceeds max_leaves.
+bool merge_leaves(const Cut& a, const Cut& b, int max_leaves, Cut* out) {
+    int n = 0;
+    int i = 0;
+    int j = 0;
     while (i < a.size() || j < b.size()) {
         int next;
-        if (j >= b.size() || (i < a.size() && a[i] < b[j])) {
-            next = a[i++];
-        } else if (i >= a.size() || b[j] < a[i]) {
-            next = b[j++];
+        if (j >= b.size() || (i < a.size() && a.leaf_ids[static_cast<std::size_t>(i)] <
+                                                  b.leaf_ids[static_cast<std::size_t>(j)])) {
+            next = a.leaf_ids[static_cast<std::size_t>(i++)];
+        } else if (i >= a.size() || b.leaf_ids[static_cast<std::size_t>(j)] <
+                                        a.leaf_ids[static_cast<std::size_t>(i)]) {
+            next = b.leaf_ids[static_cast<std::size_t>(j++)];
         } else {
-            next = a[i++];
+            next = a.leaf_ids[static_cast<std::size_t>(i++)];
             ++j;
         }
-        out->push_back(next);
-        if (static_cast<int>(out->size()) > max_leaves) return false;
+        if (n == max_leaves) return false;
+        out->leaf_ids[static_cast<std::size_t>(n++)] = next;
     }
+    out->num_leaves = static_cast<std::uint8_t>(n);
+    out->signature = a.signature | b.signature;
     return true;
 }
 
-bool is_subset(const std::vector<int>& small, const std::vector<int>& big) {
-    return std::includes(big.begin(), big.end(), small.begin(), small.end());
+bool is_subset(const Cut& small, const Cut& big) {
+    if (small.size() > big.size() || (small.signature & ~big.signature) != 0) return false;
+    int j = 0;
+    for (int i = 0; i < small.size(); ++i) {
+        const int leaf = small.leaf_ids[static_cast<std::size_t>(i)];
+        while (j < big.size() && big.leaf_ids[static_cast<std::size_t>(j)] < leaf) ++j;
+        if (j == big.size() || big.leaf_ids[static_cast<std::size_t>(j)] != leaf) return false;
+        ++j;
+    }
+    return true;
 }
 
 }  // namespace
 
 CutSet::CutSet(const Aig& aig, const CutParams& params) {
-    cuts_.resize(static_cast<std::size_t>(aig.num_nodes()));
+    if (params.max_leaves < 1 || params.max_leaves > Cut::kMaxLeaves) {
+        throw std::invalid_argument("CutParams.max_leaves must be in [1, " +
+                                    std::to_string(Cut::kMaxLeaves) + "], got " +
+                                    std::to_string(params.max_leaves));
+    }
+    if (params.max_cuts_per_node < 1) {
+        throw std::invalid_argument("CutParams.max_cuts_per_node must be >= 1, got " +
+                                    std::to_string(params.max_cuts_per_node));
+    }
+    const auto num_nodes = static_cast<std::size_t>(aig.num_nodes());
+    begin_.assign(num_nodes + 1, 0);
+    cuts_.reserve(num_nodes * static_cast<std::size_t>(std::min(params.max_cuts_per_node, 8) + 1));
 
     // Constant node: single empty-leaf cut with constant-0 function.
-    cuts_[0].push_back(Cut{{}, 0});
+    cuts_.push_back(Cut{});
+    begin_[1] = cuts_.size();
 
     for (int i = 0; i < aig.num_pis(); ++i) {
         const int node = i + 1;
-        cuts_[static_cast<std::size_t>(node)].push_back(
-            Cut{{node}, kVarTT[0]});
+        cuts_.push_back(single_leaf_cut(node, kVarTT[0]));
+        begin_[static_cast<std::size_t>(node) + 1] = cuts_.size();
     }
 
-    std::vector<int> merged;
+    std::vector<Cut> node_cuts;  // the node being enumerated
     for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
-        auto& node_cuts = cuts_[static_cast<std::size_t>(n)];
+        node_cuts.clear();
         const Lit f0 = aig.fanin0(n);
         const Lit f1 = aig.fanin1(n);
-        const auto& cuts0 = cuts_[static_cast<std::size_t>(Aig::lit_node(f0))];
-        const auto& cuts1 = cuts_[static_cast<std::size_t>(Aig::lit_node(f1))];
+        // Views into cuts_, which grows only after this node is done.
+        const std::span<const Cut> cuts0 = cuts_of(Aig::lit_node(f0));
+        const std::span<const Cut> cuts1 = cuts_of(Aig::lit_node(f1));
 
         for (const Cut& c0 : cuts0) {
             for (const Cut& c1 : cuts1) {
-                if (!merge_leaves(c0.leaves, c1.leaves, params.max_leaves, &merged))
-                    continue;
-                std::uint16_t t0 = expand_tt(c0.function, c0.leaves, merged);
-                std::uint16_t t1 = expand_tt(c1.function, c1.leaves, merged);
+                // Distinct signature bits are distinct leaves.
+                if (std::popcount(c0.signature | c1.signature) > params.max_leaves) continue;
+                Cut candidate;
+                if (!merge_leaves(c0, c1, params.max_leaves, &candidate)) continue;
+                std::uint16_t t0 = expand_tt(c0.function, c0, candidate);
+                std::uint16_t t1 = expand_tt(c1.function, c1, candidate);
                 if (Aig::lit_complemented(f0)) t0 = static_cast<std::uint16_t>(~t0);
                 if (Aig::lit_complemented(f1)) t1 = static_cast<std::uint16_t>(~t1);
-                const Cut candidate{merged, static_cast<std::uint16_t>(t0 & t1)};
+                candidate.function = static_cast<std::uint16_t>(t0 & t1);
 
                 // Dominance filter: skip if an existing cut is a subset.
-                bool dominated = false;
-                for (const Cut& c : node_cuts) {
-                    if (is_subset(c.leaves, candidate.leaves)) {
-                        dominated = true;
-                        break;
-                    }
-                }
+                const bool dominated =
+                    std::any_of(node_cuts.begin(), node_cuts.end(),
+                                [&candidate](const Cut& c) { return is_subset(c, candidate); });
                 if (dominated) continue;
                 std::erase_if(node_cuts, [&candidate](const Cut& c) {
-                    return is_subset(candidate.leaves, c.leaves);
+                    return is_subset(candidate, c);
                 });
                 node_cuts.push_back(candidate);
             }
         }
-        // Keep the smallest cuts when over budget (stable by size).
-        std::stable_sort(node_cuts.begin(), node_cuts.end(),
-                         [](const Cut& a, const Cut& b) {
-                             return a.leaves.size() < b.leaves.size();
-                         });
+        // Keep the smallest cuts when over budget (stable by size; an
+        // insertion sort, since std::stable_sort may allocate).
+        for (std::size_t i = 1; i < node_cuts.size(); ++i) {
+            const Cut c = node_cuts[i];
+            std::size_t j = i;
+            for (; j > 0 && node_cuts[j - 1].size() > c.size(); --j) {
+                node_cuts[j] = node_cuts[j - 1];
+            }
+            node_cuts[j] = c;
+        }
         if (static_cast<int>(node_cuts.size()) > params.max_cuts_per_node) {
             node_cuts.resize(static_cast<std::size_t>(params.max_cuts_per_node));
         }
-        if (params.include_trivial) {
-            node_cuts.push_back(Cut{{n}, kVarTT[0]});
-        }
+        if (params.include_trivial) node_cuts.push_back(single_leaf_cut(n, kVarTT[0]));
+        cuts_.insert(cuts_.end(), node_cuts.begin(), node_cuts.end());
+        begin_[static_cast<std::size_t>(n) + 1] = cuts_.size();
     }
 }
 

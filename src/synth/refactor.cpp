@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <unordered_map>
 
 #include "net/aig_sim.hpp"
@@ -56,8 +57,18 @@ int refactor(Aig* aig, const RefactorParams& params) {
     const int before = aig->count_live_ands();
     std::vector<int> refs = aig->reference_counts();
 
+    // Resynthesized cones of the decided nodes, alive until they are applied.
+    struct Resynthesis {
+        Aig structure;
+        std::vector<int> order;
+    };
+    std::deque<Resynthesis> kept;
     std::unordered_map<int, Replacement> decisions;
+    // Scratch reused from node to node.
+    Replacement r;
     std::vector<int> mffc_nodes;
+    std::vector<Lit> mapped;
+    std::vector<Lit> inputs;
     const int min_gain = params.zero_gain ? 0 : 1;
 
     for (int n = aig->num_pis() + 1; n < aig->num_nodes(); ++n) {
@@ -69,23 +80,30 @@ int refactor(Aig* aig, const RefactorParams& params) {
         const logic::TruthTable cone =
             net::evaluate_cone(*aig, Aig::make_lit(n, false), leaves);
 
-        auto structure = std::make_shared<Aig>(static_cast<int>(leaves.size()));
-        std::vector<Lit> inputs;
-        inputs.reserve(leaves.size());
-        for (int i = 0; i < structure->num_pis(); ++i) inputs.push_back(structure->pi(i));
-        const Lit out = build_from_tt(cone, inputs, structure.get());
-        structure->add_po(out);
+        Resynthesis& built =
+            kept.emplace_back(Resynthesis{Aig(static_cast<int>(leaves.size())), {}});
+        inputs.clear();
+        for (int i = 0; i < built.structure.num_pis(); ++i) {
+            inputs.push_back(built.structure.pi(i));
+        }
+        const Lit out = build_from_tt(cone, inputs, &built.structure);
+        built.structure.add_po(out);
+        built.order = reachable_nodes(built.structure, out);
 
-        Replacement r;
         r.leaf_of_input.assign(leaves.begin(), leaves.end());
         r.input_negated.assign(leaves.size(), false);
+        r.structure = &built.structure;
         r.structure_out = out;
-        r.structure = std::move(structure);
+        r.structure_order = built.order;
 
         const int mffc = mffc_size(*aig, n, leaves, refs, &mffc_nodes);
-        const int added = count_new_nodes(*aig, r, mffc_nodes);
+        const int added = count_new_nodes(*aig, r, mffc_nodes, mapped);
         const int gain = mffc - added;
-        if (gain >= min_gain) decisions.emplace(n, std::move(r));
+        if (gain >= min_gain) {
+            decisions.emplace(n, r);
+        } else {
+            kept.pop_back();
+        }
     }
 
     if (!decisions.empty()) {

@@ -8,9 +8,6 @@ namespace mvf::synth {
 using net::Aig;
 using net::Lit;
 
-namespace {
-
-// Nodes of `structure` reachable from `out`, in topological (id) order.
 std::vector<int> reachable_nodes(const Aig& structure, Lit out) {
     std::vector<bool> seen(static_cast<std::size_t>(structure.num_nodes()), false);
     std::vector<int> stack{Aig::lit_node(out)};
@@ -31,20 +28,21 @@ std::vector<int> reachable_nodes(const Aig& structure, Lit out) {
     return order;
 }
 
-}  // namespace
-
-int mffc_size(const Aig& aig, int root, const std::vector<int>& leaves,
+int mffc_size(const Aig& aig, int root, std::span<const int> leaves,
               std::vector<int>& refs, std::vector<int>* mffc_nodes) {
-    std::vector<bool> is_leaf(static_cast<std::size_t>(aig.num_nodes()), false);
-    for (const int l : leaves) is_leaf[static_cast<std::size_t>(l)] = true;
-
-    std::vector<int> collected;
+    const auto inside = [&aig, leaves](int node) {
+        return aig.is_and(node) &&
+               std::find(leaves.begin(), leaves.end(), node) == leaves.end();
+    };
+    std::vector<int> local;
+    std::vector<int>& collected = mffc_nodes ? *mffc_nodes : local;
+    collected.clear();
     const auto deref = [&](auto&& self, int node) -> int {
         collected.push_back(node);
         int count = 1;
         for (const Lit f : {aig.fanin0(node), aig.fanin1(node)}) {
             const int child = Aig::lit_node(f);
-            if (!aig.is_and(child) || is_leaf[static_cast<std::size_t>(child)]) continue;
+            if (!inside(child)) continue;
             if (--refs[static_cast<std::size_t>(child)] == 0) {
                 count += self(self, child);
             }
@@ -57,35 +55,35 @@ int mffc_size(const Aig& aig, int root, const std::vector<int>& leaves,
     for (const int node : collected) {
         for (const Lit f : {aig.fanin0(node), aig.fanin1(node)}) {
             const int child = Aig::lit_node(f);
-            if (!aig.is_and(child) || is_leaf[static_cast<std::size_t>(child)]) continue;
-            ++refs[static_cast<std::size_t>(child)];
+            if (inside(child)) ++refs[static_cast<std::size_t>(child)];
         }
     }
-    if (mffc_nodes) *mffc_nodes = std::move(collected);
     return size;
 }
 
 int count_new_nodes(const Aig& aig, const Replacement& r,
-                    const std::vector<int>& mffc_nodes) {
+                    std::span<const int> mffc_nodes, std::vector<Lit>& mapped) {
     const Aig& s = *r.structure;
-    std::vector<bool> freed(static_cast<std::size_t>(aig.num_nodes()), false);
-    for (const int n : mffc_nodes) freed[static_cast<std::size_t>(n)] = true;
-
-    std::vector<Lit> mapped(static_cast<std::size_t>(s.num_nodes()), Aig::kNoLit);
-    mapped[0] = Aig::kConst0;
-    for (int i = 0; i < s.num_pis(); ++i) {
-        const int leaf = r.leaf_of_input[static_cast<std::size_t>(i)];
-        if (leaf < 0) continue;  // unused input
-        Lit l = Aig::make_lit(leaf, false);
-        if (r.input_negated[static_cast<std::size_t>(i)]) l = Aig::lit_not(l);
-        mapped[static_cast<std::size_t>(i + 1)] = l;
+    if (mapped.size() < static_cast<std::size_t>(s.num_nodes())) {
+        mapped.resize(static_cast<std::size_t>(s.num_nodes()));
     }
+    const auto freed = [mffc_nodes](Lit hit) {
+        return std::find(mffc_nodes.begin(), mffc_nodes.end(), Aig::lit_node(hit)) !=
+               mffc_nodes.end();
+    };
 
+    // Only entries of structure_order are written and read.
     int new_count = 0;
-    for (const int n : reachable_nodes(s, r.structure_out)) {
+    for (const int n : r.structure_order) {
+        Lit& slot = mapped[static_cast<std::size_t>(n)];
         if (!s.is_and(n)) {
-            assert(mapped[static_cast<std::size_t>(n)] != Aig::kNoLit &&
-                   "structure reads an unmapped input");
+            if (n == 0) {
+                slot = Aig::kConst0;
+                continue;
+            }
+            const int leaf = r.leaf_of_input[static_cast<std::size_t>(n - 1)];
+            assert(leaf >= 0 && "structure reads an unmapped input");
+            slot = Aig::make_lit(leaf, r.input_negated[static_cast<std::size_t>(n - 1)]);
             continue;
         }
         const auto resolve = [&](Lit f) {
@@ -95,15 +93,14 @@ int count_new_nodes(const Aig& aig, const Replacement& r,
         };
         const Lit a = resolve(s.fanin0(n));
         const Lit b = resolve(s.fanin1(n));
-        if (a == Aig::kNoLit || b == Aig::kNoLit) {
+        // A node over a new node is new itself, and stays unmapped.
+        const Lit hit = a == Aig::kNoLit || b == Aig::kNoLit ? Aig::kNoLit
+                                                             : aig.lookup_and(a, b);
+        if (hit == Aig::kNoLit || freed(hit)) {
             ++new_count;
-            continue;  // mapped stays kNoLit: children of new nodes are new
-        }
-        const Lit hit = aig.lookup_and(a, b);
-        if (hit == Aig::kNoLit || freed[static_cast<std::size_t>(Aig::lit_node(hit))]) {
-            ++new_count;
+            slot = Aig::kNoLit;
         } else {
-            mapped[static_cast<std::size_t>(n)] = hit;
+            slot = hit;
         }
     }
     return new_count;
@@ -118,6 +115,7 @@ Aig apply_replacements(const Aig& aig,
         copy[static_cast<std::size_t>(i + 1)] = out.pi(i);
     }
 
+    std::vector<Lit> mapped;  // structure node -> new literal
     const auto materialize = [&](auto&& self, int node) -> Lit {
         Lit& memo = copy[static_cast<std::size_t>(node)];
         if (memo != Aig::kNoLit) return memo;
@@ -132,28 +130,36 @@ Aig apply_replacements(const Aig& aig,
             return memo;
         }
 
+        // Materialize the leaves first (this may recurse into other
+        // decisions), then instantiate the structure without recursing, so
+        // one scratch array serves every decision.
         const Replacement& r = it->second;
         const Aig& s = *r.structure;
-        std::vector<Lit> mapped(static_cast<std::size_t>(s.num_nodes()), Aig::kNoLit);
-        mapped[0] = Aig::kConst0;
-        const std::vector<int> order = reachable_nodes(s, r.structure_out);
-        for (const int sn : order) {
+        for (const int sn : r.structure_order) {
             if (s.is_pi(sn)) {
                 const int leaf = r.leaf_of_input[static_cast<std::size_t>(sn - 1)];
                 assert(leaf >= 0 && "structure reads an unmapped input");
-                Lit l = self(self, leaf);
-                if (r.input_negated[static_cast<std::size_t>(sn - 1)]) l = Aig::lit_not(l);
-                mapped[static_cast<std::size_t>(sn)] = l;
+                self(self, leaf);
             }
         }
-        for (const int sn : order) {
-            if (!s.is_and(sn)) continue;
-            const auto resolve = [&](Lit f) {
-                const Lit base = mapped[static_cast<std::size_t>(Aig::lit_node(f))];
-                return Aig::lit_complemented(f) ? Aig::lit_not(base) : base;
-            };
-            mapped[static_cast<std::size_t>(sn)] =
-                out.and2(resolve(s.fanin0(sn)), resolve(s.fanin1(sn)));
+        if (mapped.size() < static_cast<std::size_t>(s.num_nodes())) {
+            mapped.resize(static_cast<std::size_t>(s.num_nodes()));
+        }
+        for (const int sn : r.structure_order) {
+            Lit& slot = mapped[static_cast<std::size_t>(sn)];
+            if (sn == 0) {
+                slot = Aig::kConst0;
+            } else if (s.is_pi(sn)) {
+                const Lit l = copy[static_cast<std::size_t>(
+                    r.leaf_of_input[static_cast<std::size_t>(sn - 1)])];
+                slot = r.input_negated[static_cast<std::size_t>(sn - 1)] ? Aig::lit_not(l) : l;
+            } else {
+                const auto resolve = [&](Lit f) {
+                    const Lit base = mapped[static_cast<std::size_t>(Aig::lit_node(f))];
+                    return Aig::lit_complemented(f) ? Aig::lit_not(base) : base;
+                };
+                slot = out.and2(resolve(s.fanin0(sn)), resolve(s.fanin1(sn)));
+            }
         }
         Lit result = mapped[static_cast<std::size_t>(Aig::lit_node(r.structure_out))];
         if (Aig::lit_complemented(r.structure_out)) result = Aig::lit_not(result);

@@ -30,6 +30,7 @@ const RewriteLibrary::Entry& RewriteLibrary::structure_for(std::uint16_t canon_t
         entry.out = build_from_tt(f, inputs, aig.get());
         aig->add_po(entry.out);
         entry.num_ands = aig->count_live_ands();
+        entry.order = reachable_nodes(*aig, entry.out);
         entry.structure = std::move(aig);
         return entry;
     });
@@ -42,48 +43,50 @@ int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
     const CutSet cuts(*aig, params.cuts);
 
     std::unordered_map<int, Replacement> decisions;
+    // Scratch reused from cut to cut: the candidate, the best so far, the
+    // MFFC members and the structure replay.
+    Replacement r;
+    Replacement best;
+    r.leaf_of_input.resize(4);
+    r.input_negated.resize(4);
     std::vector<int> mffc_nodes;
+    std::vector<Lit> mapped;
 
     for (int n = aig->num_pis() + 1; n < aig->num_nodes(); ++n) {
         if (refs[static_cast<std::size_t>(n)] == 0) continue;  // dead
         const int min_gain = params.zero_gain ? 0 : 1;
         int best_gain = min_gain - 1;
-        Replacement best;
         bool found = false;
 
         for (const Cut& cut : cuts.cuts_of(n)) {
-            if (cut.size() == 1 && cut.leaves[0] == n) continue;  // trivial
+            if (cut.size() == 1 && cut.leaf_ids[0] == n) continue;  // trivial
             const logic::NpnEntry canon = npn.canonize(cut.function);
             const RewriteLibrary::Entry& entry = lib.structure_for(canon.canon);
             const NpnRebuildWiring wiring =
                 NpnManager::rebuild_wiring(canon.transform);
 
-            Replacement r;
-            r.structure = entry.structure;
+            r.structure = entry.structure.get();
             r.structure_out = entry.out;
+            r.structure_order = entry.order;
             r.output_negated = wiring.output_neg;
-            r.leaf_of_input.assign(4, -1);
-            r.input_negated.assign(4, false);
-            for (int i = 0; i < 4; ++i) {
-                const int leaf_pos = wiring.leaf_of_input[static_cast<std::size_t>(i)];
-                if (leaf_pos < cut.size()) {
-                    r.leaf_of_input[static_cast<std::size_t>(i)] =
-                        cut.leaves[static_cast<std::size_t>(leaf_pos)];
-                    r.input_negated[static_cast<std::size_t>(i)] =
-                        wiring.leaf_negated[static_cast<std::size_t>(i)];
-                }
+            for (std::size_t i = 0; i < 4; ++i) {
+                const int leaf_pos = wiring.leaf_of_input[i];
+                const bool used = leaf_pos < cut.size();
+                r.leaf_of_input[i] =
+                    used ? cut.leaf_ids[static_cast<std::size_t>(leaf_pos)] : -1;
+                r.input_negated[i] = used && wiring.leaf_negated[i];
             }
 
-            const int mffc = mffc_size(*aig, n, cut.leaves, refs, &mffc_nodes);
-            const int added = count_new_nodes(*aig, r, mffc_nodes);
+            const int mffc = mffc_size(*aig, n, cut.leaves(), refs, &mffc_nodes);
+            const int added = count_new_nodes(*aig, r, mffc_nodes, mapped);
             const int gain = mffc - added;
             if (gain >= min_gain && gain > best_gain) {
                 best_gain = gain;
-                best = std::move(r);
+                best = r;
                 found = true;
             }
         }
-        if (found) decisions.emplace(n, std::move(best));
+        if (found) decisions.emplace(n, best);
     }
 
     if (!decisions.empty()) {

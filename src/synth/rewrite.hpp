@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "logic/npn.hpp"
 #include "net/aig.hpp"
@@ -25,6 +26,8 @@ public:
         std::shared_ptr<const net::Aig> structure;  ///< over 4 PIs
         net::Lit out = 0;
         int num_ands = 0;
+        /// Structure nodes reachable from `out`, in topological order.
+        std::vector<int> order;
     };
 
     /// Best known structure for a canonical 4-variable function.

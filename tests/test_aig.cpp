@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "net/aig.hpp"
 #include "net/aig_sim.hpp"
 #include "net/cuts.hpp"
@@ -167,8 +170,10 @@ TEST(Cuts, TrivialAndBaseCutsExist) {
     bool has_base = false;
     bool has_trivial = false;
     for (const Cut& c : node_cuts) {
-        if (c.leaves == std::vector<int>{1, 2}) has_base = true;
-        if (c.leaves == std::vector<int>{Aig::lit_node(x)}) has_trivial = true;
+        if (std::ranges::equal(c.leaves(), std::vector<int>{1, 2})) has_base = true;
+        if (std::ranges::equal(c.leaves(), std::vector<int>{Aig::lit_node(x)})) {
+            has_trivial = true;
+        }
     }
     EXPECT_TRUE(has_base);
     EXPECT_TRUE(has_trivial);
@@ -181,9 +186,9 @@ TEST(Cuts, CutFunctionsMatchConeEvaluation) {
         const CutSet cuts(aig, CutParams{4, 8, true});
         for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
             for (const Cut& c : cuts.cuts_of(n)) {
-                if (c.size() == 1 && c.leaves[0] == n) continue;  // trivial
+                if (c.size() == 1 && c.leaves()[0] == n) continue;  // trivial
                 const TruthTable cone =
-                    evaluate_cone(aig, Aig::make_lit(n, false), c.leaves);
+                    evaluate_cone(aig, Aig::make_lit(n, false), c.leaves());
                 // Compare against the 16-bit cut function restricted to the
                 // cut arity.
                 for (std::uint32_t m = 0; m < cone.num_bits(); ++m) {
@@ -193,6 +198,18 @@ TEST(Cuts, CutFunctionsMatchConeEvaluation) {
             }
         }
     }
+}
+
+TEST(Cuts, RejectsParametersOutsideTheKernelRange) {
+    Aig aig(3);
+    aig.add_po(aig.and2(aig.and2(aig.pi(0), aig.pi(1)), aig.pi(2)));
+    EXPECT_THROW(CutSet(aig, CutParams{0, 8, true}), std::invalid_argument);
+    EXPECT_THROW(CutSet(aig, CutParams{Cut::kMaxLeaves + 1, 8, true}),
+                 std::invalid_argument);
+    EXPECT_THROW(CutSet(aig, CutParams{4, 0, true}), std::invalid_argument);
+    EXPECT_THROW(CutSet(aig, CutParams{4, -1, true}), std::invalid_argument);
+    EXPECT_NO_THROW(CutSet(aig, CutParams{1, 1, true}));
+    EXPECT_NO_THROW(CutSet(aig, CutParams{Cut::kMaxLeaves, 1, false}));
 }
 
 TEST(Cuts, RespectsLeafLimit) {

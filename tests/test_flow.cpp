@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "flow/obfuscation_flow.hpp"
 #include "sbox/sbox_data.hpp"
 #include "sim/netlist_sim.hpp"
@@ -102,6 +105,47 @@ TEST(Flow, EvaluateAreaIsConsistentWithSynthesize) {
     const MergedSpec spec(fns, pa);
     const tech::Netlist nl = flow.synthesize(spec, synth::Effort::kFast);
     EXPECT_DOUBLE_EQ(area, nl.area());
+}
+
+TEST(Flow, ConcurrentEvaluationsOnOneFlowMatchSerial) {
+    // Four threads share one flow (its NPN table, rewrite library and match
+    // cache) while each rewrite, refactor and mapping pass uses its own
+    // scratch; every thread must score every genome as a serial run does.
+    const auto fns = from_sboxes(sbox::present_viable_set(2));
+    util::Rng rng(21);
+    std::vector<ga::PinAssignment> genomes;
+    for (int g = 0; g < 4; ++g) genomes.push_back(ga::PinAssignment::random(2, 4, 4, rng));
+    const synth::Effort efforts[] = {synth::Effort::kFast, synth::Effort::kDefault};
+
+    std::vector<double> serial;
+    {
+        ObfuscationFlow flow;
+        for (const synth::Effort e : efforts) {
+            for (const auto& g : genomes) serial.push_back(flow.evaluate_area(fns, g, e));
+        }
+    }
+
+    ObfuscationFlow shared;
+    constexpr int kThreads = 4;
+    std::vector<std::vector<double>> areas(kThreads, std::vector<double>(serial.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread starts at a different genome so first uses race.
+            for (std::size_t j = 0; j < serial.size(); ++j) {
+                const std::size_t k = (j + static_cast<std::size_t>(t)) % serial.size();
+                areas[static_cast<std::size_t>(t)][k] = shared.evaluate_area(
+                    fns, genomes[k % genomes.size()], efforts[k / genomes.size()]);
+            }
+        });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        for (std::size_t k = 0; k < serial.size(); ++k) {
+            EXPECT_DOUBLE_EQ(areas[static_cast<std::size_t>(t)][k], serial[k])
+                << "thread " << t << " evaluation " << k;
+        }
+    }
 }
 
 TEST(Flow, MappedNetlistImplementsTheMergedSpec) {

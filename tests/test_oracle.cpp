@@ -595,6 +595,29 @@ TEST(OracleAttack, RandomWarmupPreservesOutcomeAndCutsIterations) {
     EXPECT_LE(warm.queries, base.queries);
 }
 
+TEST(OracleAttack, ReplayedWarmupQueriesAreTimed) {
+    // A replay answers every query (scripted warm-up included) one pattern
+    // at a time, so the latency histogram holds one sample per answer.
+    const CamoLibrary lib = standard_camo_library();
+    util::Rng rng(59);
+    const CamoNetlist nl = attack::random_camo_netlist(lib, 8, 2, 14, rng);
+    SimOracle chip(nl, nl.configuration_for_code(0));
+    TranscriptOracle recorder(chip);
+    OracleAttackParams params = enumerate_params();
+    params.random_warmup = 16;
+    params.warmup_seed = 5;
+    params.collect_metrics = true;
+    const OracleAttackResult live = oracle_attack(nl, recorder, params);
+    ASSERT_NE(live.status, OracleAttackResult::Status::kNoSurvivor);
+
+    TranscriptOracle replay(recorder.transcript());
+    const OracleAttackResult replayed = oracle_attack(nl, replay, params);
+    EXPECT_EQ(replayed.warmup_queries, 16);
+    EXPECT_EQ(replayed.queries, live.queries);
+    EXPECT_EQ(replayed.metrics.oracle_query_us.count,
+              static_cast<std::uint64_t>(replayed.warmup_queries + replayed.queries));
+}
+
 // --------------------------------------------------- random-sampling --
 
 TEST(RandomSampling, RegisteredBaselinePrunesButNeverBeatsCegar) {

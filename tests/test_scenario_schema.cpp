@@ -389,6 +389,32 @@ TEST_F(SchemaTest, NeighborhoodQueriesRequireASerialAttack) {
     EXPECT_THROW(validate_values(p, {"cegar"}), std::invalid_argument);
 }
 
+TEST_F(SchemaTest, CutParametersOutsideTheKernelRangeAreRejected) {
+    // Cut functions are 16-bit truth tables (at most 4 leaves) and a node
+    // needs at least one cut; both API-only knobs carry that range.
+    FlowParams p;
+    p.map.cuts.max_leaves = 4;
+    p.map.cuts.max_cuts_per_node = 1;
+    EXPECT_NO_THROW(validate_values(p, {}));
+    for (const int leaves : {0, 5, 6}) {
+        p.map.cuts.max_leaves = leaves;
+        try {
+            validate_values(p, {});
+            ADD_FAILURE() << "max_leaves " << leaves << " accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), "map.cut_max_leaves must be in [1, 4]");
+        }
+    }
+    p.map.cuts.max_leaves = 4;
+    p.map.cuts.max_cuts_per_node = 0;
+    try {
+        validate_values(p, {});
+        ADD_FAILURE() << "max_cuts_per_node 0 accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "map.cut_max_cuts_per_node must be >= 1");
+    }
+}
+
 TEST_F(SchemaTest, ErrorsSpellKnobsTheWayTheirSurfaceDoes) {
     EXPECT_NE(spec_error("funcs=present:2 count_mode=approx enum_survivors=0\n")
                   .find("enum_survivors=0 skips survivor counting; it "

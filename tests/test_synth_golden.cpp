@@ -166,9 +166,8 @@ std::vector<std::string> cut_rows() {
                 for (const net::Cut& c : cuts.cuts_of(n)) {
                     ++total;
                     h.mix(static_cast<std::uint64_t>(c.size()));
-                    for (int i = 0; i < c.size(); ++i) {
-                        h.mix(static_cast<std::uint64_t>(
-                            c.leaves[static_cast<std::size_t>(i)]));
+                    for (const int leaf : c.leaves()) {
+                        h.mix(static_cast<std::uint64_t>(leaf));
                     }
                     h.mix(c.function);
                 }
