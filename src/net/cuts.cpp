@@ -13,12 +13,13 @@ constexpr std::uint16_t kVarTT[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
 
 std::uint32_t leaf_bit(int node) { return 1u << (static_cast<unsigned>(node) & 31u); }
 
-Cut single_leaf_cut(int node, std::uint16_t function) {
+// The cut {node} with function "leaf 0".
+Cut trivial_cut(int node) {
     Cut c;
     c.leaf_ids[0] = node;
     c.num_leaves = 1;
     c.signature = leaf_bit(node);
-    c.function = function;
+    c.function = kVarTT[0];
     return c;
 }
 
@@ -36,12 +37,13 @@ std::uint16_t swap_vars(std::uint16_t tt, int i, int j) {
 // moving the leaves from the last one down, each swap targets a position
 // the function does not yet depend on, so the swap is exact.
 std::uint16_t expand_tt(std::uint16_t tt, const Cut& from, const Cut& to) {
+    const std::span<const int> x = from.leaves();
+    const std::span<const int> y = to.leaves();
     int pos = to.size();
     for (int i = from.size() - 1; i >= 0; --i) {
         do {
             --pos;
-        } while (to.leaf_ids[static_cast<std::size_t>(pos)] !=
-                 from.leaf_ids[static_cast<std::size_t>(i)]);
+        } while (y[static_cast<std::size_t>(pos)] != x[static_cast<std::size_t>(i)]);
         if (pos != i) tt = swap_vars(tt, i, pos);
     }
     return tt;
@@ -50,19 +52,19 @@ std::uint16_t expand_tt(std::uint16_t tt, const Cut& from, const Cut& to) {
 // Merges two sorted leaf sets into `out`; returns false if the union
 // exceeds max_leaves.
 bool merge_leaves(const Cut& a, const Cut& b, int max_leaves, Cut* out) {
+    const std::span<const int> x = a.leaves();
+    const std::span<const int> y = b.leaves();
+    std::size_t i = 0;
+    std::size_t j = 0;
     int n = 0;
-    int i = 0;
-    int j = 0;
-    while (i < a.size() || j < b.size()) {
+    while (i < x.size() || j < y.size()) {
         int next;
-        if (j >= b.size() || (i < a.size() && a.leaf_ids[static_cast<std::size_t>(i)] <
-                                                  b.leaf_ids[static_cast<std::size_t>(j)])) {
-            next = a.leaf_ids[static_cast<std::size_t>(i++)];
-        } else if (i >= a.size() || b.leaf_ids[static_cast<std::size_t>(j)] <
-                                        a.leaf_ids[static_cast<std::size_t>(i)]) {
-            next = b.leaf_ids[static_cast<std::size_t>(j++)];
+        if (j == y.size() || (i < x.size() && x[i] < y[j])) {
+            next = x[i++];
+        } else if (i == x.size() || y[j] < x[i]) {
+            next = y[j++];
         } else {
-            next = a.leaf_ids[static_cast<std::size_t>(i++)];
+            next = x[i++];
             ++j;
         }
         if (n == max_leaves) return false;
@@ -74,15 +76,8 @@ bool merge_leaves(const Cut& a, const Cut& b, int max_leaves, Cut* out) {
 }
 
 bool is_subset(const Cut& small, const Cut& big) {
-    if (small.size() > big.size() || (small.signature & ~big.signature) != 0) return false;
-    int j = 0;
-    for (int i = 0; i < small.size(); ++i) {
-        const int leaf = small.leaf_ids[static_cast<std::size_t>(i)];
-        while (j < big.size() && big.leaf_ids[static_cast<std::size_t>(j)] < leaf) ++j;
-        if (j == big.size() || big.leaf_ids[static_cast<std::size_t>(j)] != leaf) return false;
-        ++j;
-    }
-    return true;
+    return (small.signature & ~big.signature) == 0 &&
+           std::ranges::includes(big.leaves(), small.leaves());
 }
 
 }  // namespace
@@ -99,7 +94,6 @@ CutSet::CutSet(const Aig& aig, const CutParams& params) {
     }
     const auto num_nodes = static_cast<std::size_t>(aig.num_nodes());
     begin_.assign(num_nodes + 1, 0);
-    cuts_.reserve(num_nodes * static_cast<std::size_t>(std::min(params.max_cuts_per_node, 8) + 1));
 
     // Constant node: single empty-leaf cut with constant-0 function.
     cuts_.push_back(Cut{});
@@ -107,7 +101,7 @@ CutSet::CutSet(const Aig& aig, const CutParams& params) {
 
     for (int i = 0; i < aig.num_pis(); ++i) {
         const int node = i + 1;
-        cuts_.push_back(single_leaf_cut(node, kVarTT[0]));
+        cuts_.push_back(trivial_cut(node));
         begin_[static_cast<std::size_t>(node) + 1] = cuts_.size();
     }
 
@@ -156,7 +150,7 @@ CutSet::CutSet(const Aig& aig, const CutParams& params) {
         if (static_cast<int>(node_cuts.size()) > params.max_cuts_per_node) {
             node_cuts.resize(static_cast<std::size_t>(params.max_cuts_per_node));
         }
-        if (params.include_trivial) node_cuts.push_back(single_leaf_cut(n, kVarTT[0]));
+        if (params.include_trivial) node_cuts.push_back(trivial_cut(n));
         cuts_.insert(cuts_.end(), node_cuts.begin(), node_cuts.end());
         begin_[static_cast<std::size_t>(n) + 1] = cuts_.size();
     }
