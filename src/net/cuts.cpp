@@ -11,14 +11,12 @@ namespace {
 // Truth tables of the four cut-leaf variables in the 4-var space.
 constexpr std::uint16_t kVarTT[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
 
-std::uint32_t leaf_bit(int node) { return 1u << (static_cast<unsigned>(node) & 31u); }
-
 // The cut {node} with function "leaf 0".
 Cut trivial_cut(int node) {
     Cut c;
     c.leaf_ids[0] = node;
     c.num_leaves = 1;
-    c.signature = leaf_bit(node);
+    c.signature = 1u << (static_cast<unsigned>(node) & 31u);
     c.function = kVarTT[0];
     return c;
 }
