@@ -64,9 +64,7 @@ int mffc_size(const Aig& aig, int root, std::span<const int> leaves,
 int count_new_nodes(const Aig& aig, const Replacement& r,
                     std::span<const int> mffc_nodes, std::vector<Lit>& mapped) {
     const Aig& s = *r.structure;
-    if (mapped.size() < static_cast<std::size_t>(s.num_nodes())) {
-        mapped.resize(static_cast<std::size_t>(s.num_nodes()));
-    }
+    mapped.resize(static_cast<std::size_t>(s.num_nodes()));  // keeps its capacity
     const auto freed = [mffc_nodes](Lit hit) {
         return std::find(mffc_nodes.begin(), mffc_nodes.end(), Aig::lit_node(hit)) !=
                mffc_nodes.end();
@@ -142,9 +140,7 @@ Aig apply_replacements(const Aig& aig,
                 self(self, leaf);
             }
         }
-        if (mapped.size() < static_cast<std::size_t>(s.num_nodes())) {
-            mapped.resize(static_cast<std::size_t>(s.num_nodes()));
-        }
+        mapped.resize(static_cast<std::size_t>(s.num_nodes()));
         for (const int sn : r.structure_order) {
             Lit& slot = mapped[static_cast<std::size_t>(sn)];
             if (sn == 0) {
