@@ -9,6 +9,7 @@
 #include "flow/obfuscation_flow.hpp"
 #include "logic/isop.hpp"
 #include "logic/npn.hpp"
+#include "map/tech_map.hpp"
 #include "sbox/sbox_data.hpp"
 #include "util/rng.hpp"
 
@@ -36,27 +37,26 @@ void BM_IsopSboxOutput(benchmark::State& state) {
 }
 BENCHMARK(BM_IsopSboxOutput);
 
-void BM_NpnCanonizeCold(benchmark::State& state) {
-    util::Rng rng(7);
+void BM_MatchTableBuild(benchmark::State& state) {
+    const tech::GateLibrary lib = tech::GateLibrary::standard();
     for (auto _ : state) {
-        logic::NpnManager npn;  // cold table each iteration
-        benchmark::DoNotOptimize(
-            npn.canonize(static_cast<std::uint16_t>(rng.next_u64())));
+        tech::MatchCache cache(lib);  // builds on the first lookup
+        benchmark::DoNotOptimize(cache.matches(0x8888).data());
     }
+    state.SetLabel("once per ObfuscationFlow");
 }
-BENCHMARK(BM_NpnCanonizeCold);
+BENCHMARK(BM_MatchTableBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_NpnCanonizeWarm(benchmark::State& state) {
-    logic::NpnManager npn;
     util::Rng rng(7);
     std::vector<std::uint16_t> tts;
     for (int i = 0; i < 256; ++i) {
         tts.push_back(static_cast<std::uint16_t>(rng.next_u64()));
     }
-    for (const auto tt : tts) npn.canonize(tt);
+    for (const auto tt : tts) logic::npn_canonize(tt);
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(npn.canonize(tts[i++ & 255]));
+        benchmark::DoNotOptimize(logic::npn_canonize(tts[i++ & 255]));
     }
 }
 BENCHMARK(BM_NpnCanonizeWarm);

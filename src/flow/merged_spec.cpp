@@ -27,6 +27,16 @@ std::vector<ViableFunction> from_sboxes(const std::vector<sbox::Sbox>& sboxes) {
     return fns;
 }
 
+std::vector<ViableFunction> with_factored_cones(std::vector<ViableFunction> functions) {
+    for (ViableFunction& f : functions) {
+        auto cones = std::make_shared<std::vector<synth::FactoredCone>>();
+        cones->reserve(f.outputs.size());
+        for (const TruthTable& t : f.outputs) cones->push_back(synth::derive_cone(t));
+        f.cones = std::move(cones);
+    }
+    return functions;
+}
+
 int MergedSpec::num_selects(int num_functions) {
     int s = 0;
     while ((1 << s) < num_functions) ++s;
@@ -41,6 +51,7 @@ MergedSpec::MergedSpec(std::vector<ViableFunction> functions,
     for (const auto& f : functions_) {
         assert(f.num_inputs == num_inputs());
         assert(f.num_outputs == num_outputs());
+        assert(!f.cones || f.cones->size() == f.outputs.size());
     }
     assert(assignment_.valid());
 }
@@ -62,6 +73,7 @@ net::Aig MergedSpec::build_aig(BuildStyle style) const {
 
     if (style == BuildStyle::kFactored) {
         for (int k = 0; k < n; ++k) {
+            const ViableFunction& f = functions_[static_cast<std::size_t>(k)];
             std::vector<Lit> inputs(static_cast<std::size_t>(m));
             for (int j = 0; j < m; ++j) {
                 inputs[static_cast<std::size_t>(j)] = aig.pi(
@@ -71,11 +83,10 @@ net::Aig MergedSpec::build_aig(BuildStyle style) const {
             for (int j = 0; j < r; ++j) {
                 const int q = assignment_.output_perms[static_cast<std::size_t>(k)]
                                                       [static_cast<std::size_t>(j)];
+                const auto out = static_cast<std::size_t>(j);
                 cones[static_cast<std::size_t>(k)][static_cast<std::size_t>(q)] =
-                    synth::build_from_tt(
-                        functions_[static_cast<std::size_t>(k)]
-                            .outputs[static_cast<std::size_t>(j)],
-                        inputs, &aig);
+                    f.cones ? synth::instantiate_cone((*f.cones)[out], inputs, &aig)
+                            : synth::build_from_tt(f.outputs[out], inputs, &aig);
             }
         }
     } else {

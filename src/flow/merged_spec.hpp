@@ -8,8 +8,11 @@
 // position q.  Codes >= n replicate function n-1 so the specification is
 // completely defined (no don't-cares).  The AIG is built structurally --
 // per-function factored-ISOP cones plus per-output mux trees -- mirroring
-// the RTL the paper feeds to synthesis.
+// the RTL the paper feeds to synthesis.  The cones depend only on the
+// functions, so a pin search derives them once (with_factored_cones) and
+// each build only instantiates them on the permuted inputs.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "logic/truth_table.hpp"
 #include "net/aig.hpp"
 #include "sbox/sbox.hpp"
+#include "synth/aig_build.hpp"
 
 namespace mvf::flow {
 
@@ -26,10 +30,18 @@ struct ViableFunction {
     int num_inputs = 0;
     int num_outputs = 0;
     std::vector<logic::TruthTable> outputs;
+    /// The factored cone of each output, when derived in advance (see
+    /// with_factored_cones); must then match `outputs`.  Null: the
+    /// kFactored build derives the cones itself, with the same result.
+    std::shared_ptr<const std::vector<synth::FactoredCone>> cones;
 };
 
 ViableFunction from_sbox(const sbox::Sbox& s);
 std::vector<ViableFunction> from_sboxes(const std::vector<sbox::Sbox>& s);
+
+/// The functions with every output's factored cone derived, so that the
+/// thousands of merged builds of a pin search only instantiate them.
+std::vector<ViableFunction> with_factored_cones(std::vector<ViableFunction> functions);
 
 /// How the per-function cones of the merged AIG are constructed.
 enum class BuildStyle {

@@ -18,7 +18,7 @@ tech::Netlist ObfuscationFlow::synthesize(const MergedSpec& spec,
                                           const tech::TechMapParams& map_params,
                                           BuildStyle style) {
     net::Aig aig = spec.build_aig(style);
-    synth::optimize(&aig, synth_ctx_, effort);
+    synth::optimize(&aig, effort);
     return tech::tech_map(aig, match_cache_, map_params, spec.pi_names(),
                           spec.pi_select_flags());
 }

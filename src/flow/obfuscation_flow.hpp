@@ -10,10 +10,12 @@
 // finally   a ModelSim-style validation replaying each per-code dopant
 //           configuration in simulation.
 //
-// One ObfuscationFlow instance owns the memoized synthesis/matching caches
-// and should be reused across experiments.  The caches are thread-safe, so
-// synthesize() and evaluate_area() may run concurrently on one instance
-// (the pin search scores each GA generation that way).
+// One ObfuscationFlow instance owns the gate and camouflage libraries and
+// the library's match table (built on the first mapping); the NPN and
+// rewrite tables behind synthesis are process-wide.  All of them are
+// read-only once built, so synthesize() and evaluate_area() may run
+// concurrently on one instance (the pin search scores each GA generation
+// that way).  Construction builds no table.
 
 #include <cstdint>
 #include <optional>
@@ -193,6 +195,7 @@ public:
     static bool verify_configurations(const MergedSpec& spec,
                                       const camo::CamoNetlist& netlist);
 
+    /// Stateless (see synth::SynthContext); kept for existing callers.
     synth::SynthContext& synth_context() { return synth_ctx_; }
 
 private:

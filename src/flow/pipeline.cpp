@@ -28,7 +28,10 @@ bool CancelToken::cancelled() const {
 FlowContext::FlowContext(ObfuscationFlow& engine,
                          const std::vector<ViableFunction>& fns,
                          FlowParams p)
-    : flow(&engine), functions(&fns), params(std::move(p)) {
+    : flow(&engine),
+      functions(&functions_with_cones_),
+      params(std::move(p)),
+      functions_with_cones_(with_factored_cones(fns)) {
     // Circuit scenarios carry no viable functions -- the subject is a file.
     if (fns.empty() && params.circuit.path.empty()) {
         throw std::invalid_argument("FlowContext: empty viable-function set");

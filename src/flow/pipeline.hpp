@@ -3,8 +3,9 @@
 //
 // ObfuscationFlow::run used to hard-code merge -> GA -> camouflage ->
 // validate as one monolith; this header breaks it into typed, individually
-// invokable stages threaded through a FlowContext (shared synthesis caches,
-// seeding, deadline/cancellation, progress reporting).  A Pipeline is just
+// invokable stages threaded through a FlowContext (the engine's libraries,
+// the functions' factored cones, seeding, deadline/cancellation, progress
+// reporting).  A Pipeline is just
 // an ordered stage list: the default one (`Pipeline::standard`) reproduces
 // ObfuscationFlow::run bit-for-bit (tests/test_pipeline.cpp holds the
 // fixed-seed differential proof), while bespoke experiments compose their
@@ -76,14 +77,22 @@ public:
 };
 
 /// Everything a stage may read or extend.  One context corresponds to one
-/// scenario run; the referenced ObfuscationFlow owns the memoized
-/// synthesis/matching caches and may be shared across sequential runs.
+/// scenario run; the referenced ObfuscationFlow owns the gate and camouflage
+/// libraries and the match table, and may be shared across sequential runs.
 struct FlowContext {
+    /// Derives the factored cone of every function output (see
+    /// with_factored_cones) once for the run.
     FlowContext(ObfuscationFlow& engine,
                 const std::vector<ViableFunction>& functions,
                 FlowParams params);
 
+    // `functions` points into the context itself.
+    FlowContext(const FlowContext&) = delete;
+    FlowContext& operator=(const FlowContext&) = delete;
+
     ObfuscationFlow* flow;
+    /// The scenario's viable functions, with their cones; owned by the
+    /// context.
     const std::vector<ViableFunction>* functions;
     FlowParams params;
 
@@ -118,6 +127,9 @@ struct FlowContext {
     /// Convenience: deadline = now + seconds.
     void set_timeout(double seconds);
     bool should_stop() const;
+
+private:
+    std::vector<ViableFunction> functions_with_cones_;
 };
 
 class Stage {

@@ -4,15 +4,15 @@
 // Rewriting classifies every 4-feasible cut by its NPN class so that one
 // precomputed replacement structure per class serves all 768 input/output
 // transform variants.  Canonization is exact (minimum 16-bit table over all
-// 24 permutations x 16 input negations x 2 output negations) and memoized in
-// a flat 2^16 table that concurrent callers may share: each slot is one
-// atomic word packing the whole entry, so a lookup is a single relaxed load
-// and racing first computations store the same value.
+// 24 permutations x 16 input negations x 2 output negations) and reads one
+// immutable process-wide 2^16 table.  The table is built on first use by
+// orbit enumeration -- each of the 222 classes once, through its canonical
+// form's 768 inverse images -- in a few milliseconds, and is then shared
+// read-only by every thread.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <span>
 
 namespace mvf::logic {
 
@@ -26,7 +26,8 @@ struct NpnTransform {
 
 struct NpnEntry {
     std::uint16_t canon = 0;
-    NpnTransform transform;  ///< maps the *original* function to `canon`
+    std::uint8_t class_id = 0;  ///< index of `canon` in npn_classes()
+    NpnTransform transform;     ///< maps the *original* function to `canon`
 };
 
 /// How to realize the original function given a structure implementing the
@@ -39,27 +40,22 @@ struct NpnRebuildWiring {
     bool output_neg = false;
 };
 
-class NpnManager {
-public:
-    NpnManager();
+/// Exact canonization: the minimum table over all 768 transforms, with the
+/// first transform reaching it in (npn_permutations() index, input_neg,
+/// output_neg) order.  Safe to call from several threads at once.
+NpnEntry npn_canonize(std::uint16_t tt);
 
-    /// Memoized exact canonization of a 16-bit truth table.  Safe to call
-    /// from several threads at once.
-    NpnEntry canonize(std::uint16_t tt);
+/// The canonical representatives of all 222 classes, ascending; a class id
+/// indexes this list.
+std::span<const std::uint16_t> npn_classes();
 
-    /// Applies a transform:  result(x) = f(y) ^ out_neg,  y_j = x_{perm[j]} ^ neg_j.
-    static std::uint16_t apply(std::uint16_t tt, const NpnTransform& t);
+/// Applies a transform:  result(x) = f(y) ^ out_neg,  y_j = x_{perm[j]} ^ neg_j.
+std::uint16_t npn_apply(std::uint16_t tt, const NpnTransform& t);
 
-    /// Inverts a canonizing transform into rebuild wiring (see NpnRebuildWiring).
-    static NpnRebuildWiring rebuild_wiring(const NpnTransform& t);
+/// Inverts a canonizing transform into rebuild wiring (see NpnRebuildWiring).
+NpnRebuildWiring npn_rebuild_wiring(const NpnTransform& t);
 
-    /// All 24 permutations of four elements, in a fixed order.
-    static const std::array<std::array<std::uint8_t, 4>, 24>& permutations();
-
-private:
-    // Lazily filled; index = truth table, value = packed NpnEntry with a
-    // valid bit (0 = not computed yet).
-    std::unique_ptr<std::atomic<std::uint32_t>[]> table_;
-};
+/// All 24 permutations of four elements, in lexicographic order.
+const std::array<std::array<std::uint8_t, 4>, 24>& npn_permutations();
 
 }  // namespace mvf::logic

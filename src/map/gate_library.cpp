@@ -22,8 +22,8 @@ TruthTable or_n(int n) {
 
 GateLibrary GateLibrary::standard() {
     GateLibrary lib;
-    lib.inv_id_ = lib.add_cell({"INV", 1, 0.67, ~TruthTable::var(0, 1)});
-    lib.buf_id_ = lib.add_cell({"BUF", 1, 1.00, TruthTable::var(0, 1)});
+    lib.add_cell({"INV", 1, 0.67, ~TruthTable::var(0, 1)});
+    lib.add_cell({"BUF", 1, 1.00, TruthTable::var(0, 1)});
 
     // Area ratios follow typical commercial standard-cell libraries.
     const double nand_area[3] = {1.00, 1.33, 1.67};
@@ -47,8 +47,13 @@ int GateLibrary::find(std::string_view name) const {
 }
 
 int GateLibrary::add_cell(GateCell cell) {
+    const int id = num_cells();
+    if (cell.num_inputs == 1) {
+        if (inv_id_ < 0 && cell.function == ~TruthTable::var(0, 1)) inv_id_ = id;
+        if (buf_id_ < 0 && cell.function == TruthTable::var(0, 1)) buf_id_ = id;
+    }
     cells_.push_back(std::move(cell));
-    return num_cells() - 1;
+    return id;
 }
 
 }  // namespace mvf::tech

@@ -33,8 +33,10 @@ public:
     /// Index of the cell with the given name, or -1.
     int find(std::string_view name) const;
 
+    /// The first inverter / buffer cell added, or -1.
     int inv_id() const { return inv_id_; }
     int buf_id() const { return buf_id_; }
+    /// Requires an inverter (inv_id() >= 0).
     double inv_area() const { return cell(inv_id_).area; }
 
     /// Registers a cell; returns its id.  Used by tests and custom setups.

@@ -1,9 +1,11 @@
 #include "map/tech_map.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 
@@ -47,41 +49,89 @@ std::uint16_t realize_tt(const logic::TruthTable& cell_fn, int num_pins,
     return out;
 }
 
-}  // namespace
-
-const std::vector<CellMatch>& MatchCache::matches(std::uint16_t tt) {
-    return memo_.get(tt, [this, tt] { return compute(tt); });
-}
-
-std::vector<CellMatch> MatchCache::compute(std::uint16_t tt) const {
-    std::vector<CellMatch> result;
-    const std::vector<int> support = tt16_support(tt, 4);
-    const int k = static_cast<int>(support.size());
-    for (int cell_id = 0; cell_id < lib_.num_cells(); ++cell_id) {
-        const GateCell& cell = lib_.cell(cell_id);
-        if (cell.num_inputs != k || k == 0) continue;
-        std::vector<int> perm(support.begin(), support.end());
-        do {
-            std::array<std::uint8_t, 4> vars{};
-            for (int p = 0; p < k; ++p) {
-                vars[static_cast<std::size_t>(p)] =
-                    static_cast<std::uint8_t>(perm[static_cast<std::size_t>(p)]);
+// Every cell, pin permutation and pin negation mask realizes one cut
+// function; list each under that function, in the order matches()
+// documents.  A realization whose support is smaller than the cell's pin
+// count (a pin the cell ignores) is no match: pins map onto the support.
+MatchTable build_table(const GateLibrary& lib) {
+    std::vector<std::uint16_t> keys;
+    std::vector<CellMatch> found;
+    for (int cell_id = 0; cell_id < lib.num_cells(); ++cell_id) {
+        const GateCell& cell = lib.cell(cell_id);
+        const int k = cell.num_inputs;
+        if (k < 1 || k > 4) continue;
+        for (std::uint32_t subset = 1; subset < 16; ++subset) {
+            if (std::popcount(subset) != k) continue;
+            std::vector<int> support;
+            for (int v = 0; v < 4; ++v) {
+                if ((subset >> v) & 1) support.push_back(v);
             }
-            for (std::uint32_t neg = 0; neg < (1u << k); ++neg) {
-                if (realize_tt(cell.function, k, vars, neg) == tt) {
+            std::array<std::uint8_t, 4> vars{};
+            std::copy(support.begin(), support.end(), vars.begin());
+            do {
+                for (std::uint32_t neg = 0; neg < (1u << k); ++neg) {
+                    const std::uint16_t tt = realize_tt(cell.function, k, vars, neg);
+                    if (tt16_support(tt, 4) != support) continue;
                     CellMatch m;
                     m.cell_id = cell_id;
+                    m.pin_leaf_pos = vars;
                     for (int p = 0; p < k; ++p) {
-                        m.pin_leaf_pos[static_cast<std::size_t>(p)] =
-                            vars[static_cast<std::size_t>(p)];
                         m.pin_neg[static_cast<std::size_t>(p)] = (neg >> p) & 1;
                     }
-                    result.push_back(m);
+                    keys.push_back(tt);
+                    found.push_back(m);
                 }
-            }
-        } while (std::next_permutation(perm.begin(), perm.end()));
+            } while (std::next_permutation(vars.begin(), vars.begin() + k));
+        }
     }
-    return result;
+
+    // Stable counting sort by cut function.  offsets[tt + 1] holds tt's
+    // count, then tt's start, which filling advances to tt's end.
+    MatchTable table;
+    table.offsets.assign((std::size_t{1} << 16) + 1, 0);
+    for (const std::uint16_t tt : keys) ++table.offsets[tt + 1u];
+    std::uint16_t start = 0;
+    for (std::size_t i = 1; i < table.offsets.size(); ++i) {
+        const std::uint16_t count = table.offsets[i];
+        table.offsets[i] = start;
+        start += count;
+    }
+    table.cells.resize(found.size());
+    for (std::size_t i = 0; i < found.size(); ++i) {
+        table.cells[table.offsets[keys[i] + 1u]++] = found[i];
+    }
+    return table;
+}
+
+// Most matches a cell with k pins can have: C(4, k) supports x k! pin
+// orders x 2^k negation masks.
+constexpr std::uint32_t kMaxMatchesPerCell[5] = {0, 8, 48, 192, 384};
+
+// Leaf 0 AND leaf 1.  Pin negations turn a match of it or of its
+// complement into one for every AND node's fanin cut, in some phase.
+constexpr std::uint16_t kAnd2 = 0x8888;
+
+}  // namespace
+
+const MatchTable& MatchCache::table() {
+    if (lib_.inv_id() < 0) {
+        throw std::invalid_argument("gate library has no inverter cell");
+    }
+    std::uint32_t bound = 0;
+    for (int id = 0; id < lib_.num_cells(); ++id) {
+        const int k = lib_.cell(id).num_inputs;
+        if (k >= 1 && k <= 4) bound += kMaxMatchesPerCell[k];
+    }
+    if (bound > std::numeric_limits<std::uint16_t>::max()) {
+        throw std::invalid_argument("gate library has too many cells for the match table");
+    }
+    std::call_once(built_, [this] { table_ = build_table(lib_); });
+    if (table_.matches(kAnd2).empty() &&
+        table_.matches(static_cast<std::uint16_t>(~kAnd2)).empty()) {
+        throw std::invalid_argument(
+            "gate library has no cell realizing AND2 in either output phase");
+    }
+    return table_;
 }
 
 namespace {
@@ -100,7 +150,7 @@ static_assert(std::is_trivially_copyable_v<Choice>);
 struct Mapper {
     const Aig& aig;
     const GateLibrary& lib;
-    MatchCache& cache;
+    const MatchTable& table;  // built and checked before lib is read
     CutSet cut_set;
 
     std::vector<std::array<double, 2>> cost;    // [node][phase]
@@ -108,7 +158,7 @@ struct Mapper {
     std::vector<double> refs;                   // fanout estimate (area flow)
 
     Mapper(const Aig& a, MatchCache& c, const TechMapParams& p)
-        : aig(a), lib(c.library()), cache(c), cut_set(a, p.cuts) {
+        : aig(a), lib(c.library()), table(c.table()), cut_set(a, p.cuts) {
         const auto counts = aig.reference_counts();
         refs.assign(counts.size(), 1.0);
         for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -138,7 +188,7 @@ struct Mapper {
                     const std::uint16_t target =
                         phase ? static_cast<std::uint16_t>(~cut.function)
                               : cut.function;
-                    for (const CellMatch& m : cache.matches(target)) {
+                    for (const CellMatch& m : table.matches(target)) {
                         const double c = match_cost(cut, m);
                         if (c < cost[idx][static_cast<std::size_t>(phase)]) {
                             cost[idx][static_cast<std::size_t>(phase)] = c;
@@ -164,8 +214,12 @@ struct Mapper {
                     }
                 }
             }
-            assert(cost[idx][0] < kInf && cost[idx][1] < kInf &&
-                   "every AND node must be coverable by the library");
+            if (cost[idx][0] == kInf) {
+                // Only cut parameters too narrow for a node's fanin cut
+                // get here; the table already checked the library.
+                throw std::invalid_argument("tech_map: AND node " + std::to_string(n) +
+                                            " has no cut the library can cover");
+            }
         }
     }
 

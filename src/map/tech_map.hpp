@@ -11,13 +11,14 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
+#include <span>
 #include <vector>
 
 #include "map/gate_library.hpp"
 #include "map/netlist.hpp"
 #include "net/aig.hpp"
 #include "net/cuts.hpp"
-#include "util/memo16.hpp"
 
 namespace mvf::tech {
 
@@ -29,25 +30,50 @@ struct CellMatch {
     std::array<bool, 4> pin_neg{};
 };
 
-/// Memoized cut-function -> cell-match table.  Construction is cheap; the
-/// table fills lazily.  Share one instance across many tech_map calls (the
-/// genetic algorithm performs thousands of mapping runs against the same
-/// library, and the set of distinct cut functions saturates quickly).
-/// Concurrent tech_map calls may share one cache.
+/// Flat cut-function -> cell-match table: the matches of truth table tt
+/// are cells[offsets[tt]] .. cells[offsets[tt + 1] - 1].  16-bit offsets
+/// keep it at 128 KiB; the standard library has 2 512 matches.
+struct MatchTable {
+    std::vector<std::uint16_t> offsets;  ///< 2^16 + 1 entries
+    std::vector<CellMatch> cells;
+
+    std::span<const CellMatch> matches(std::uint16_t tt) const {
+        return std::span<const CellMatch>(cells).subspan(offsets[tt],
+                                                         offsets[tt + 1u] - offsets[tt]);
+    }
+};
+
+/// The match table of one library.  Construction is cheap; the first
+/// lookup builds the whole table (under std::call_once, so concurrent first
+/// callers wait for one build).  Share one instance across many tech_map
+/// calls -- the genetic algorithm performs thousands of mapping runs
+/// against the same library -- and across threads: once built, the table
+/// is read-only.
 class MatchCache {
 public:
     explicit MatchCache(GateLibrary library) : lib_(std::move(library)) {}
 
+    MatchCache(const MatchCache&) = delete;
+    MatchCache& operator=(const MatchCache&) = delete;
+
     const GateLibrary& library() const { return lib_; }
 
-    /// All single-cell realizations of the given 16-bit cut function.
-    const std::vector<CellMatch>& matches(std::uint16_t tt);
+    /// The table, built on first use.  Throws std::invalid_argument when
+    /// the library has no inverter or no cell realizing AND2 in either
+    /// output phase (the mapper could not cover every AIG with it), or so
+    /// many cells that their matches might overflow the 16-bit offsets.
+    const MatchTable& table();
+
+    /// All single-cell realizations of the given 16-bit cut function, by
+    /// cell id, then pin permutation (lexicographic over the function's
+    /// support), then pin negation mask; the mapper breaks cost ties by
+    /// this order.  Throws like table().
+    std::span<const CellMatch> matches(std::uint16_t tt) { return table().matches(tt); }
 
 private:
-    std::vector<CellMatch> compute(std::uint16_t tt) const;
-
     GateLibrary lib_;
-    util::Memo16<std::vector<CellMatch>> memo_;
+    std::once_flag built_;
+    MatchTable table_;
 };
 
 struct TechMapParams {

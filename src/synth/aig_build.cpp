@@ -56,14 +56,22 @@ Lit build_factored(const FactorTree& tree, std::span<const Lit> inputs,
     return build_factor_node(tree, tree.root(), inputs, aig);
 }
 
+FactoredCone derive_cone(const TruthTable& function) {
+    FactoredCone cone;
+    const logic::Sop cover = logic::isop_best_polarity(function, &cone.complemented);
+    cone.tree = FactorTree::from_sop(cover);
+    return cone;
+}
+
+Lit instantiate_cone(const FactoredCone& cone, std::span<const Lit> inputs, Aig* aig) {
+    const Lit out = build_factored(cone.tree, inputs, aig);
+    return cone.complemented ? Aig::lit_not(out) : out;
+}
+
 Lit build_from_tt(const TruthTable& function, std::span<const Lit> inputs,
                   Aig* aig) {
     assert(static_cast<int>(inputs.size()) == function.num_vars());
-    bool complemented = false;
-    const logic::Sop cover = logic::isop_best_polarity(function, &complemented);
-    const FactorTree tree = FactorTree::from_sop(cover);
-    const Lit out = build_factored(tree, inputs, aig);
-    return complemented ? Aig::lit_not(out) : out;
+    return instantiate_cone(derive_cone(function), inputs, aig);
 }
 
 Lit build_mux_tree(std::span<const Lit> selects, std::span<const Lit> data,

@@ -18,8 +18,23 @@ namespace mvf::synth {
 net::Lit build_factored(const logic::FactorTree& tree,
                         std::span<const net::Lit> inputs, net::Aig* aig);
 
-/// Builds `function` over the given input literals via best-polarity ISOP
-/// plus algebraic factoring.  inputs.size() must equal function.num_vars().
+/// A function's best-polarity ISOP, factored: derived once, then
+/// instantiated on any input literals.
+struct FactoredCone {
+    logic::FactorTree tree;
+    bool complemented = false;  ///< the tree computes the complement
+};
+
+/// Best-polarity ISOP plus algebraic factoring of `function`.
+FactoredCone derive_cone(const logic::TruthTable& function);
+
+/// Instantiates a cone over the given input literals (one per variable of
+/// the function it was derived from).
+net::Lit instantiate_cone(const FactoredCone& cone, std::span<const net::Lit> inputs,
+                          net::Aig* aig);
+
+/// derive_cone, then instantiate_cone.  inputs.size() must equal
+/// function.num_vars().
 net::Lit build_from_tt(const logic::TruthTable& function,
                        std::span<const net::Lit> inputs, net::Aig* aig);
 

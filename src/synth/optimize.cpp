@@ -2,12 +2,13 @@
 
 #include "synth/balance.hpp"
 #include "synth/refactor.hpp"
+#include "synth/rewrite.hpp"
 
 namespace mvf::synth {
 
 using net::Aig;
 
-int optimize(Aig* aig, SynthContext& ctx, Effort effort) {
+int optimize(Aig* aig, Effort effort) {
     const int max_rounds = effort == Effort::kFast ? 2
                            : effort == Effort::kDefault ? 3
                                                         : 5;
@@ -15,19 +16,19 @@ int optimize(Aig* aig, SynthContext& ctx, Effort effort) {
     int best_size = best.num_ands();
     for (int round = 0; round < max_rounds; ++round) {
         *aig = balance(*aig);
-        rewrite(aig, ctx.npn, ctx.rewrite_lib);
+        rewrite(aig);
         if (effort != Effort::kFast) {
             refactor(aig);
             *aig = balance(*aig);
-            rewrite(aig, ctx.npn, ctx.rewrite_lib);
+            rewrite(aig);
         }
         if (effort == Effort::kHigh) {
             // Zero-gain perturbation can climb out of local minima but may
             // also regress; the best-seen snapshot below protects the result.
             RewriteParams zero;
             zero.zero_gain = true;
-            rewrite(aig, ctx.npn, ctx.rewrite_lib, zero);
-            rewrite(aig, ctx.npn, ctx.rewrite_lib);
+            rewrite(aig, zero);
+            rewrite(aig);
         }
         const int now = aig->count_live_ands();
         if (now < best_size) {

@@ -3,22 +3,13 @@
 // mirroring the paper's ABC script of "multiple refactor, rewrite and
 // balance commands".
 //
-// SynthContext owns the memoized NPN table and rewrite library; one context
-// is shared by an entire experiment so the thousands of genetic-algorithm
-// fitness evaluations amortize canonization and structure synthesis.  Both
-// tables are safe for concurrent use, so parallel optimize() calls may share
-// one context.
+// The NPN table and the rewrite structures it indexes are process-wide and
+// immutable once built (logic/npn.hpp, synth/rewrite.hpp), so optimize()
+// keeps no state between calls and parallel calls share nothing mutable.
 
-#include "logic/npn.hpp"
 #include "net/aig.hpp"
-#include "synth/rewrite.hpp"
 
 namespace mvf::synth {
-
-struct SynthContext {
-    logic::NpnManager npn;
-    RewriteLibrary rewrite_lib;
-};
 
 enum class Effort {
     kFast,     ///< balance + rewrite rounds only (GA fitness evaluations)
@@ -27,6 +18,15 @@ enum class Effort {
 };
 
 /// Optimizes the AIG in place and returns the final live AND count.
-int optimize(net::Aig* aig, SynthContext& ctx, Effort effort = Effort::kDefault);
+int optimize(net::Aig* aig, Effort effort = Effort::kDefault);
+
+/// Stateless.  The overload below accepts one for existing callers; new
+/// code calls optimize(aig, effort).
+struct SynthContext {};
+
+inline int optimize(net::Aig* aig, SynthContext& /*unused*/,
+                    Effort effort = Effort::kDefault) {
+    return optimize(aig, effort);
+}
 
 }  // namespace mvf::synth

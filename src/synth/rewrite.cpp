@@ -4,40 +4,48 @@
 #include <cassert>
 #include <unordered_map>
 
+#include "logic/npn.hpp"
 #include "logic/truth_table.hpp"
 #include "synth/aig_build.hpp"
 #include "synth/replace.hpp"
 
 namespace mvf::synth {
 
-using logic::NpnManager;
 using logic::NpnRebuildWiring;
 using net::Aig;
 using net::Cut;
 using net::CutSet;
 using net::Lit;
 
-const RewriteLibrary::Entry& RewriteLibrary::structure_for(std::uint16_t canon_tt) {
-    return memo_.get(canon_tt, [canon_tt] {
+namespace {
+
+std::vector<RewriteStructure> build_structures() {
+    std::vector<RewriteStructure> all;
+    all.reserve(logic::npn_classes().size());
+    for (const std::uint16_t canon : logic::npn_classes()) {
         logic::TruthTable f(4);
         for (std::uint32_t m = 0; m < 16; ++m) {
-            if ((canon_tt >> m) & 1) f.set_bit(m, true);
+            if ((canon >> m) & 1) f.set_bit(m, true);
         }
-        auto aig = std::make_shared<Aig>(4);
-        const std::array<Lit, 4> inputs{aig->pi(0), aig->pi(1), aig->pi(2),
-                                        aig->pi(3)};
-        Entry entry;
-        entry.out = build_from_tt(f, inputs, aig.get());
-        aig->add_po(entry.out);
-        entry.num_ands = aig->count_live_ands();
-        entry.order = reachable_nodes(*aig, entry.out);
-        entry.structure = std::move(aig);
-        return entry;
-    });
+        RewriteStructure& s = all.emplace_back();
+        Aig& aig = s.structure;
+        const std::array<Lit, 4> inputs{aig.pi(0), aig.pi(1), aig.pi(2), aig.pi(3)};
+        s.out = build_from_tt(f, inputs, &aig);
+        aig.add_po(s.out);
+        s.num_ands = aig.count_live_ands();
+        s.order = reachable_nodes(aig, s.out);
+    }
+    return all;
 }
 
-int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
-            const RewriteParams& params) {
+}  // namespace
+
+const RewriteStructure& rewrite_structure(int class_id) {
+    static const std::vector<RewriteStructure> all = build_structures();
+    return all[static_cast<std::size_t>(class_id)];
+}
+
+int rewrite(Aig* aig, const RewriteParams& params) {
     const int before = aig->count_live_ands();
     std::vector<int> refs = aig->reference_counts();
     const CutSet cuts(*aig, params.cuts);
@@ -60,12 +68,11 @@ int rewrite(Aig* aig, NpnManager& npn, RewriteLibrary& lib,
 
         for (const Cut& cut : cuts.cuts_of(n)) {
             if (cut.size() == 1 && cut.leaf_ids[0] == n) continue;  // trivial
-            const logic::NpnEntry canon = npn.canonize(cut.function);
-            const RewriteLibrary::Entry& entry = lib.structure_for(canon.canon);
-            const NpnRebuildWiring wiring =
-                NpnManager::rebuild_wiring(canon.transform);
+            const logic::NpnEntry canon = logic::npn_canonize(cut.function);
+            const RewriteStructure& entry = rewrite_structure(canon.class_id);
+            const NpnRebuildWiring wiring = logic::npn_rebuild_wiring(canon.transform);
 
-            r.structure = entry.structure.get();
+            r.structure = &entry.structure;
             r.structure_out = entry.out;
             r.structure_order = entry.order;
             r.output_negated = wiring.output_neg;

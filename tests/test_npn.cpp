@@ -11,7 +11,7 @@ namespace mvf::logic {
 namespace {
 
 TEST(Npn, PermutationTableComplete) {
-    const auto& perms = NpnManager::permutations();
+    const auto& perms = npn_permutations();
     std::set<std::array<std::uint8_t, 4>> unique(perms.begin(), perms.end());
     EXPECT_EQ(unique.size(), 24u);
 }
@@ -19,14 +19,14 @@ TEST(Npn, PermutationTableComplete) {
 TEST(Npn, ApplyIdentityIsIdentity) {
     NpnTransform id;
     for (std::uint32_t tt = 0; tt < 0x10000; tt += 257) {
-        EXPECT_EQ(NpnManager::apply(static_cast<std::uint16_t>(tt), id), tt);
+        EXPECT_EQ(npn_apply(static_cast<std::uint16_t>(tt), id), tt);
     }
 }
 
 TEST(Npn, ApplyOutputNegationComplements) {
     NpnTransform t;
     t.output_neg = true;
-    EXPECT_EQ(NpnManager::apply(0x8000, t), static_cast<std::uint16_t>(~0x8000));
+    EXPECT_EQ(npn_apply(0x8000, t), static_cast<std::uint16_t>(~0x8000));
 }
 
 TEST(Npn, ApplyInputNegationOnAnd2) {
@@ -41,42 +41,39 @@ TEST(Npn, ApplyInputNegationOnAnd2) {
     for (std::uint32_t m = 0; m < 16; ++m) {
         if (((m & 1) == 0) && ((m & 2) != 0)) expected |= static_cast<std::uint16_t>(1u << m);
     }
-    EXPECT_EQ(NpnManager::apply(and2, t), expected);
+    EXPECT_EQ(npn_apply(and2, t), expected);
 }
 
 TEST(Npn, CanonIsInvariantUnderRandomTransforms) {
-    NpnManager npn;
     util::Rng rng(7);
     for (int trial = 0; trial < 200; ++trial) {
         const auto tt = static_cast<std::uint16_t>(rng.next_u64());
         NpnTransform t;
-        t.perm = NpnManager::permutations()[static_cast<std::size_t>(rng.uniform_int(0, 23))];
+        t.perm = npn_permutations()[static_cast<std::size_t>(rng.uniform_int(0, 23))];
         t.input_neg = static_cast<std::uint8_t>(rng.uniform_int(0, 15));
         t.output_neg = rng.coin(0.5);
-        const std::uint16_t variant = NpnManager::apply(tt, t);
-        EXPECT_EQ(npn.canonize(tt).canon, npn.canonize(variant).canon)
+        const std::uint16_t variant = npn_apply(tt, t);
+        EXPECT_EQ(npn_canonize(tt).canon, npn_canonize(variant).canon)
             << "tt=" << tt;
     }
 }
 
 TEST(Npn, TransformReachesCanon) {
-    NpnManager npn;
     util::Rng rng(11);
     for (int trial = 0; trial < 300; ++trial) {
         const auto tt = static_cast<std::uint16_t>(rng.next_u64());
-        const NpnEntry& e = npn.canonize(tt);
-        EXPECT_EQ(NpnManager::apply(tt, e.transform), e.canon);
+        const NpnEntry e = npn_canonize(tt);
+        EXPECT_EQ(npn_apply(tt, e.transform), e.canon);
     }
 }
 
 TEST(Npn, RebuildWiringInvertsTransform) {
     // original(z) = canon(x)^out_neg with x_i = z_{leaf_of_input[i]} ^ neg.
-    NpnManager npn;
     util::Rng rng(13);
     for (int trial = 0; trial < 300; ++trial) {
         const auto tt = static_cast<std::uint16_t>(rng.next_u64());
-        const NpnEntry& e = npn.canonize(tt);
-        const NpnRebuildWiring w = NpnManager::rebuild_wiring(e.transform);
+        const NpnEntry e = npn_canonize(tt);
+        const NpnRebuildWiring w = npn_rebuild_wiring(e.transform);
 
         std::uint16_t rebuilt = 0;
         for (std::uint32_t z = 0; z < 16; ++z) {
@@ -97,37 +94,34 @@ TEST(Npn, RebuildWiringInvertsTransform) {
 TEST(Npn, KnownClassCountForAllFourVarFunctions) {
     // The number of NPN equivalence classes of 4-variable Boolean functions
     // is a known constant: 222.
-    NpnManager npn;
     std::set<std::uint16_t> classes;
     for (std::uint32_t tt = 0; tt < 0x10000; ++tt) {
-        classes.insert(npn.canonize(static_cast<std::uint16_t>(tt)).canon);
+        classes.insert(npn_canonize(static_cast<std::uint16_t>(tt)).canon);
     }
     EXPECT_EQ(classes.size(), 222u);
 }
 
 TEST(Npn, CanonIsMinimal) {
-    NpnManager npn;
     util::Rng rng(17);
     for (int trial = 0; trial < 20; ++trial) {
         const auto tt = static_cast<std::uint16_t>(rng.next_u64());
-        const std::uint16_t canon = npn.canonize(tt).canon;
+        const std::uint16_t canon = npn_canonize(tt).canon;
         EXPECT_LE(canon, tt);
         // Canon of canon is itself.
-        EXPECT_EQ(npn.canonize(canon).canon, canon);
+        EXPECT_EQ(npn_canonize(canon).canon, canon);
     }
 }
 
 TEST(Npn, ConstantsAndProjections) {
-    NpnManager npn;
-    EXPECT_EQ(npn.canonize(0x0000).canon, 0x0000);
+    EXPECT_EQ(npn_canonize(0x0000).canon, 0x0000);
     // Constant 1 negates to constant 0.
-    EXPECT_EQ(npn.canonize(0xffff).canon, 0x0000);
+    EXPECT_EQ(npn_canonize(0xffff).canon, 0x0000);
     // All single-variable projections share one class.
     const std::uint16_t x0 = 0xaaaa;
     const std::uint16_t x3 = 0xff00;
-    EXPECT_EQ(npn.canonize(x0).canon, npn.canonize(x3).canon);
-    EXPECT_EQ(npn.canonize(static_cast<std::uint16_t>(~x0)).canon,
-              npn.canonize(x3).canon);
+    EXPECT_EQ(npn_canonize(x0).canon, npn_canonize(x3).canon);
+    EXPECT_EQ(npn_canonize(static_cast<std::uint16_t>(~x0)).canon,
+              npn_canonize(x3).canon);
 }
 
 }  // namespace

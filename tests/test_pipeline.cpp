@@ -7,12 +7,10 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "flow/batch_runner.hpp"
 #include "flow/pipeline.hpp"
-#include "map/tech_map.hpp"
 #include "report/json.hpp"
 #include "sbox/sbox_data.hpp"
 #include "serve/protocol.hpp"
@@ -333,69 +331,6 @@ TEST(PinSearch, PoolSizeNeverChangesTheResultPresent2) {
 
 TEST(PinSearch, PoolSizeNeverChangesTheResultPresent4) {
     expect_pool_size_never_changes_the_result(4);
-}
-
-TEST(SharedCaches, ConcurrentLookupsMatchSerial) {
-    // NpnManager, RewriteLibrary and MatchCache are shared by every fitness
-    // worker.  Hammer them from four threads, each starting at a different
-    // key so first computations race, and check every answer against a
-    // single-threaded instance.
-    std::vector<std::uint16_t> keys;
-    for (std::uint32_t tt = 0; tt < (1u << 16); tt += 97) {
-        keys.push_back(static_cast<std::uint16_t>(tt));
-    }
-    synth::SynthContext shared;
-    tech::MatchCache shared_match(tech::GateLibrary::standard());
-    constexpr int kThreads = 4;
-    struct Seen {
-        const synth::RewriteLibrary::Entry* entry = nullptr;
-        const std::vector<tech::CellMatch>* matches = nullptr;
-        logic::NpnEntry npn;
-    };
-    std::vector<std::vector<Seen>> seen(kThreads, std::vector<Seen>(keys.size()));
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (int round = 0; round < 2; ++round) {
-                for (std::size_t j = 0; j < keys.size(); ++j) {
-                    const std::size_t k = (j + t * keys.size() / kThreads) % keys.size();
-                    Seen& s = seen[static_cast<std::size_t>(t)][k];
-                    s.npn = shared.npn.canonize(keys[k]);
-                    s.entry = &shared.rewrite_lib.structure_for(s.npn.canon);
-                    s.matches = &shared_match.matches(keys[k]);
-                }
-            }
-        });
-    }
-    for (std::thread& th : threads) th.join();
-
-    synth::SynthContext serial;
-    tech::MatchCache serial_match(tech::GateLibrary::standard());
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-        const logic::NpnEntry want = serial.npn.canonize(keys[k]);
-        const synth::RewriteLibrary::Entry& want_entry =
-            serial.rewrite_lib.structure_for(want.canon);
-        const std::vector<tech::CellMatch>& want_matches =
-            serial_match.matches(keys[k]);
-        for (int t = 0; t < kThreads; ++t) {
-            const Seen& s = seen[static_cast<std::size_t>(t)][k];
-            EXPECT_EQ(s.npn.canon, want.canon);
-            EXPECT_EQ(s.npn.transform.perm, want.transform.perm);
-            EXPECT_EQ(s.npn.transform.input_neg, want.transform.input_neg);
-            EXPECT_EQ(s.npn.transform.output_neg, want.transform.output_neg);
-            // One memoized object per key, seen by every thread.
-            EXPECT_EQ(s.entry, seen[0][k].entry);
-            EXPECT_EQ(s.matches, seen[0][k].matches);
-            EXPECT_EQ(s.entry->num_ands, want_entry.num_ands);
-            EXPECT_EQ(s.entry->out, want_entry.out);
-            ASSERT_EQ(s.matches->size(), want_matches.size()) << keys[k];
-            for (std::size_t i = 0; i < want_matches.size(); ++i) {
-                EXPECT_EQ((*s.matches)[i].cell_id, want_matches[i].cell_id);
-                EXPECT_EQ((*s.matches)[i].pin_leaf_pos, want_matches[i].pin_leaf_pos);
-                EXPECT_EQ((*s.matches)[i].pin_neg, want_matches[i].pin_neg);
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------------ batch runner --

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "logic/npn.hpp"
 #include "net/aig_sim.hpp"
 #include "sbox/sbox_data.hpp"
 #include "synth/aig_build.hpp"
@@ -124,22 +125,20 @@ TEST(Replace, MffcStopsAtSharedNodes) {
 
 TEST(Rewrite, PreservesFunctionOnRandomGraphs) {
     util::Rng rng(5);
-    SynthContext ctx;
     for (int t = 0; t < 20; ++t) {
         Aig aig = random_aig(6, 80, rng);
         const auto before = net::simulate_full(aig);
-        rewrite(&aig, ctx.npn, ctx.rewrite_lib);
+        rewrite(&aig);
         EXPECT_EQ(before, net::simulate_full(aig)) << "trial " << t;
     }
 }
 
 TEST(Rewrite, NeverIncreasesSize) {
     util::Rng rng(7);
-    SynthContext ctx;
     for (int t = 0; t < 20; ++t) {
         Aig aig = random_aig(6, 80, rng);
         const int before = aig.count_live_ands();
-        rewrite(&aig, ctx.npn, ctx.rewrite_lib);
+        rewrite(&aig);
         EXPECT_LE(aig.count_live_ands(), before);
     }
 }
@@ -151,8 +150,7 @@ TEST(Rewrite, CollapsesRedundantStructure) {
     const Lit bc = aig.and2(aig.pi(1), aig.pi(2));
     const Lit abc = aig.and2(aig.pi(0), bc);
     aig.add_po(aig.and2(ab, abc));
-    SynthContext ctx;
-    rewrite(&aig, ctx.npn, ctx.rewrite_lib);
+    rewrite(&aig);
     EXPECT_LE(aig.count_live_ands(), 2);
     const TruthTable want = TruthTable::var(0, 3) & TruthTable::var(1, 3) &
                             TruthTable::var(2, 3);
@@ -183,7 +181,6 @@ TEST(Refactor, ReconvergenceCutIsAValidCut) {
 }
 
 TEST(Optimize, SboxCircuitsShrinkAndStayCorrect) {
-    SynthContext ctx;
     for (int idx : {0, 5, 11}) {
         const sbox::Sbox& s = sbox::leander_poschmann_16()[static_cast<std::size_t>(idx)];
         Aig aig(4);
@@ -194,7 +191,7 @@ TEST(Optimize, SboxCircuitsShrinkAndStayCorrect) {
         }
         const auto before = net::simulate_full(aig);
         const int size_before = aig.count_live_ands();
-        optimize(&aig, ctx, Effort::kDefault);
+        optimize(&aig, Effort::kDefault);
         EXPECT_LE(aig.count_live_ands(), size_before);
         EXPECT_EQ(before, net::simulate_full(aig)) << s.name;
     }
@@ -204,13 +201,12 @@ TEST(Optimize, NeverReturnsWorseThanInput) {
     // optimize() keeps a best-seen snapshot, so even the perturbing kHigh
     // effort can never hand back a larger network than it was given.
     util::Rng rng(23);
-    SynthContext ctx;
     for (int t = 0; t < 10; ++t) {
         Aig aig = random_aig(6, 90, rng);
         const int before = aig.count_live_ands();
         for (const Effort e : {Effort::kFast, Effort::kDefault, Effort::kHigh}) {
             Aig copy = aig;
-            optimize(&copy, ctx, e);
+            optimize(&copy, e);
             EXPECT_LE(copy.num_ands(), before) << "effort " << static_cast<int>(e);
         }
     }
@@ -218,11 +214,10 @@ TEST(Optimize, NeverReturnsWorseThanInput) {
 
 TEST(Optimize, EffortLevelsAllPreserveFunction) {
     util::Rng rng(17);
-    SynthContext ctx;
     for (const Effort e : {Effort::kFast, Effort::kDefault, Effort::kHigh}) {
         Aig aig = random_aig(7, 120, rng);
         const auto before = net::simulate_full(aig);
-        optimize(&aig, ctx, e);
+        optimize(&aig, e);
         EXPECT_EQ(before, net::simulate_full(aig));
     }
 }
@@ -231,13 +226,13 @@ TEST(Optimize, EffortLevelsAllPreserveFunction) {
 class RewriteAllNpnClasses : public ::testing::TestWithParam<int> {};
 
 TEST_P(RewriteAllNpnClasses, StructureLibraryIsExact) {
-    SynthContext ctx;
     // Sample the 16-bit function space in strides.
     for (std::uint32_t tt = static_cast<std::uint32_t>(GetParam()); tt < 0x10000;
          tt += 64) {
-        const std::uint16_t canon = ctx.npn.canonize(static_cast<std::uint16_t>(tt)).canon;
-        const RewriteLibrary::Entry& e = ctx.rewrite_lib.structure_for(canon);
-        const auto outs = net::simulate_full(*e.structure);
+        const logic::NpnEntry npn = logic::npn_canonize(static_cast<std::uint16_t>(tt));
+        const std::uint16_t canon = npn.canon;
+        const RewriteStructure& e = rewrite_structure(npn.class_id);
+        const auto outs = net::simulate_full(e.structure);
         for (std::uint32_t m = 0; m < 16; ++m) {
             EXPECT_EQ(outs[0].bit(m), ((canon >> m) & 1) != 0);
         }

@@ -1,6 +1,7 @@
 // Golden record of the synthesis kernels behind the pin-search fitness.
 // Every "flow" row is one seeded pin assignment of a viable-function set
-// synthesized under one fitness effort and build style: the GA fitness
+// (carrying factored cones derived once, as in a pin search) synthesized
+// under one fitness effort and build style: the GA fitness
 // (evaluate_area), the AND count after optimize, the mapped cell count and a
 // hash of the whole mapped netlist.  Every "cuts" row hashes the complete
 // CutSet (leaves, function and order of every cut of every node) of a seeded
@@ -76,14 +77,31 @@ struct Family {
     std::vector<ViableFunction> functions;
 };
 
-/// One row per family x genome x fitness effort x build style.
-std::vector<std::string> flow_rows() {
-    const Family families[] = {
+std::vector<Family> families() {
+    return {
         {"present:2", from_sboxes(sbox::present_viable_set(2))},
         {"present:4", from_sboxes(sbox::present_viable_set(4))},
         {"des:2", from_sboxes(sbox::des_viable_set(2))},
     };
-    constexpr int kGenomes = 3;  // identity, then seeded random assignments
+}
+
+/// The identity assignment, then seeded random ones.
+std::vector<ga::PinAssignment> genomes(const Family& fam) {
+    constexpr int kGenomes = 3;
+    const int k = static_cast<int>(fam.functions.size());
+    const int m = fam.functions.front().num_inputs;
+    const int r = fam.functions.front().num_outputs;
+    util::Rng rng(7);
+    std::vector<ga::PinAssignment> all{ga::PinAssignment::identity(k, m, r)};
+    while (static_cast<int>(all.size()) < kGenomes) {
+        all.push_back(ga::PinAssignment::random(k, m, r, rng));
+    }
+    return all;
+}
+
+/// One row per family x genome x fitness effort x build style.  The
+/// functions carry their factored cones, as in a pin search.
+std::vector<std::string> flow_rows() {
     const std::pair<const char*, synth::Effort> efforts[] = {
         {"fast", synth::Effort::kFast}, {"default", synth::Effort::kDefault}};
     const std::pair<const char*, BuildStyle> styles[] = {
@@ -93,26 +111,22 @@ std::vector<std::string> flow_rows() {
     ObfuscationFlow flow;
     tech::MatchCache cache(flow.gate_library());
     std::vector<std::string> rows;
-    for (const Family& fam : families) {
-        const int k = static_cast<int>(fam.functions.size());
-        const int m = fam.functions.front().num_inputs;
-        const int r = fam.functions.front().num_outputs;
-        util::Rng rng(7);
-        for (int g = 0; g < kGenomes; ++g) {
-            const ga::PinAssignment genome =
-                g == 0 ? ga::PinAssignment::identity(k, m, r)
-                       : ga::PinAssignment::random(k, m, r, rng);
-            const MergedSpec spec(fam.functions, genome);
+    for (const Family& plain : families()) {
+        const std::vector<ViableFunction> functions = with_factored_cones(plain.functions);
+        const std::vector<ga::PinAssignment> all = genomes(plain);
+        for (std::size_t g = 0; g < all.size(); ++g) {
+            const ga::PinAssignment& genome = all[g];
+            const MergedSpec spec(functions, genome);
             for (const auto& [effort_name, effort] : efforts) {
                 for (const auto& [style_name, style] : styles) {
                     const double area =
-                        flow.evaluate_area(fam.functions, genome, effort, style);
+                        flow.evaluate_area(functions, genome, effort, style);
                     Aig aig = spec.build_aig(style);
                     synth::optimize(&aig, flow.synth_context(), effort);
                     const tech::Netlist nl = tech::tech_map(
                         aig, cache, {}, spec.pi_names(), spec.pi_select_flags());
                     std::ostringstream row;
-                    row << "flow " << fam.name << " g" << g << ' ' << effort_name
+                    row << "flow " << plain.name << " g" << g << ' ' << effort_name
                         << ' ' << style_name << '\t' << area_text(area) << '\t'
                         << aig.num_ands() << '\t' << nl.num_cells() << '\t'
                         << hash_netlist(nl);
@@ -122,6 +136,17 @@ std::vector<std::string> flow_rows() {
         }
     }
     return rows;
+}
+
+std::string hash_aig(const Aig& aig) {
+    Fnv h;
+    h.mix(static_cast<std::uint64_t>(aig.num_pis()));
+    for (int n = aig.num_pis() + 1; n < aig.num_nodes(); ++n) {
+        h.mix(aig.fanin0(n));
+        h.mix(aig.fanin1(n));
+    }
+    for (int i = 0; i < aig.num_pos(); ++i) h.mix(aig.po(i));
+    return h.hex();
 }
 
 /// Random AIG over `num_pis` inputs with `num_nodes` AND attempts (the
@@ -180,6 +205,23 @@ std::vector<std::string> cut_rows() {
         }
     }
     return rows;
+}
+
+TEST(SynthGolden, CachedConesBuildTheSameAigAsTheTables) {
+    // The record above goes through cones derived once; a merged build from
+    // the bare truth tables must produce the very same graph.
+    for (const Family& plain : families()) {
+        const std::vector<ViableFunction> functions = with_factored_cones(plain.functions);
+        for (const ga::PinAssignment& genome : genomes(plain)) {
+            for (const BuildStyle style :
+                 {BuildStyle::kFactored, BuildStyle::kSharedExtract}) {
+                const Aig cached = MergedSpec(functions, genome).build_aig(style);
+                const Aig derived = MergedSpec(plain.functions, genome).build_aig(style);
+                EXPECT_EQ(cached.num_nodes(), derived.num_nodes()) << plain.name;
+                EXPECT_EQ(hash_aig(cached), hash_aig(derived)) << plain.name;
+            }
+        }
+    }
 }
 
 TEST(SynthGolden, KernelsMatchTheGoldenRecord) {

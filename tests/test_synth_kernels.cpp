@@ -245,8 +245,6 @@ TEST(KernelOracle, CutSetMatchesTheReferenceEnumeration) {
 
 TEST(KernelOracle, MffcAndGainMatchTheReferenceOnRewriteCuts) {
     util::Rng rng(202);
-    logic::NpnManager npn;
-    RewriteLibrary lib;
     std::vector<int> mffc, want_mffc;
     std::vector<Lit> mapped;
     int checked = 0;
@@ -266,12 +264,12 @@ TEST(KernelOracle, MffcAndGainMatchTheReferenceOnRewriteCuts) {
                 EXPECT_EQ(size, ref::mffc_size(aig, n, leaves, refs, &want_mffc));
                 EXPECT_EQ(mffc, want_mffc);
 
-                const logic::NpnEntry canon = npn.canonize(cut.function);
-                const RewriteLibrary::Entry& entry = lib.structure_for(canon.canon);
+                const logic::NpnEntry canon = logic::npn_canonize(cut.function);
+                const RewriteStructure& entry = rewrite_structure(canon.class_id);
                 const logic::NpnRebuildWiring wiring =
-                    logic::NpnManager::rebuild_wiring(canon.transform);
+                    logic::npn_rebuild_wiring(canon.transform);
                 Replacement r;
-                r.structure = entry.structure.get();
+                r.structure = &entry.structure;
                 r.structure_out = entry.out;
                 r.structure_order = entry.order;
                 r.leaf_of_input.assign(4, -1);

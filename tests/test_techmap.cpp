@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "map/tech_map.hpp"
 #include "net/aig_sim.hpp"
 #include "util/stats.hpp"
@@ -197,6 +201,81 @@ TEST(Netlist, Tt16SupportHelper) {
         if ((m & 3) == 3) and01 |= static_cast<std::uint16_t>(1u << m);
     }
     EXPECT_EQ(tt16_support(and01, 4), (std::vector<int>{0, 1}));
+}
+
+// ------------------------------------------------- incomplete libraries --
+
+GateLibrary library_of(const std::vector<std::string>& names) {
+    const GateLibrary standard = GateLibrary::standard();
+    GateLibrary lib;
+    for (const std::string& name : names) lib.add_cell(standard.cell(standard.find(name)));
+    return lib;
+}
+
+Aig small_aig() {
+    Aig aig(3);
+    aig.add_po(aig.and2(aig.pi(0), Aig::lit_not(aig.and2(aig.pi(1), aig.pi(2)))));
+    return aig;
+}
+
+void expect_rejected(const GateLibrary& lib, const std::string& reason) {
+    MatchCache cache(lib);
+    try {
+        (void)tech_map(small_aig(), cache);
+        ADD_FAILURE() << "library accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(reason), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)cache.matches(0x8888), std::invalid_argument);
+}
+
+TEST(GateLibrary, AddCellRecordsTheInverterAndBuffer) {
+    const GateLibrary lib = library_of({"NAND2", "BUF", "INV"});
+    EXPECT_EQ(lib.inv_id(), 2);
+    EXPECT_EQ(lib.buf_id(), 1);
+    EXPECT_DOUBLE_EQ(lib.inv_area(), 0.67);
+    EXPECT_EQ(library_of({"NAND2"}).inv_id(), -1);
+}
+
+TEST(MatchCache, LibraryBuiltFromScratchMapsCorrectly) {
+    MatchCache cache(library_of({"NAND2", "INV"}));
+    const Aig aig = small_aig();
+    const Netlist nl = tech_map(aig, cache);
+    EXPECT_TRUE(nl.validate());
+    EXPECT_EQ(net::simulate_full(aig), sim::simulate_full(nl));
+}
+
+TEST(MatchCache, RejectsANand2OnlyLibrary) {
+    expect_rejected(library_of({"NAND2"}), "no inverter");
+}
+
+TEST(MatchCache, RejectsALibraryWithoutAnInverter) {
+    expect_rejected(library_of({"BUF", "NAND2", "NOR2", "AND2", "OR2", "NAND3", "AND4"}),
+                    "no inverter");
+}
+
+TEST(MatchCache, RejectsALibraryThatCannotRealizeAnd2) {
+    // AND3 and OR4 need three and four leaves; no cell covers an AND
+    // node's two-leaf fanin cut in either phase.
+    expect_rejected(library_of({"INV", "BUF", "AND3", "OR4"}), "AND2");
+}
+
+TEST(MatchCache, RejectsALibraryTooLargeForTheTable) {
+    // 171 four-pin cells may have 171 x 384 matches, over 16-bit offsets.
+    std::vector<std::string> names{"INV", "NAND2"};
+    names.insert(names.end(), 171, "AND4");
+    expect_rejected(library_of(names), "too many cells");
+    names.resize(names.size() - 1);
+    MatchCache fits(library_of(names));
+    EXPECT_EQ(fits.matches(0x8000).size(), 170u * 24u);  // every pin order
+}
+
+TEST(TechMap, CutsTooNarrowToCoverANodeAreAnError) {
+    // With one-leaf cuts no AND node has a cut a cell can realize.
+    MatchCache cache(GateLibrary::standard());
+    TechMapParams params;
+    params.cuts.max_leaves = 1;
+    EXPECT_THROW((void)tech_map(small_aig(), cache, params), std::invalid_argument);
 }
 
 }  // namespace
